@@ -1,20 +1,16 @@
 """Micro-benchmarks of the detection primitives (real timed runs):
 per-input path extraction for each variant, bitmask algebra on
 class-path-sized vectors, compiled-program execution on the ISS, and
-the batched packed-word kernels swept across the pluggable compute
-backends.
+the batched packed-word kernels of the score path.
 
 These are the operations the hardware accelerates; their software
 timings motivate the co-design (Sec. III-B's 15.4x software overhead).
-The backend sweep is also the measurement behind the CI perf gate's
-``kernels`` section (``scripts/perf_gate.py``), which enforces the
-tiled backend's large-batch speedup over the numpy reference on
-multi-core hosts.
+The kernel timing is also the measurement behind the CI perf gate's
+``kernels`` section (``scripts/perf_gate.py``).
 
 Run standalone for the nightly JSON artifact::
 
     python benchmarks/bench_micro_primitives.py --output kernels.json
-    python benchmarks/bench_micro_primitives.py --backend numpy tiled
 """
 
 import os
@@ -31,8 +27,8 @@ import numpy as np
 
 from repro.compiler import MemoryMap, compile_bwcu
 from repro.core import Bitmask, ExtractionConfig, PathExtractor
-from repro.core.backends import available_backends, get_backend
 from repro.core.bitmask import (
+    WORD_BITS,
     batch_containment,
     batch_popcount,
     pack_bool_matrix,
@@ -41,16 +37,10 @@ from repro.core.bitmask import (
 from repro.eval import Workbench
 from repro.isa import Machine, ModelAdapter
 
-#: Backend-sweep workload: large enough that the tiled backend's row
-#: tiles and thread pool genuinely engage (4096 rows x 512 words packs
-#: 16 MiB — far past its min-rows and single-tile fall-throughs).
+#: Kernel workload: 4096 rows x 512 words packs 16 MiB, far past any
+#: cache, like a large served batch.
 KERNEL_ROWS = 4096
 KERNEL_BITS = 512 * 64
-#: The CI envelope the perf gate enforces on multi-core hosts: tiled
-#: must reach >= 1.5x the numpy reference on the large-batch
-#: containment kernel (ratio-only — never an absolute cross-machine
-#: comparison; auto-skipped where a single CPU makes it impossible).
-TILED_SPEEDUP_FLOOR = 1.5
 
 
 def test_micro_extract_bwcu(benchmark):
@@ -105,134 +95,110 @@ def test_micro_iss_bwcu_program(benchmark, trained_mlp=None):
     assert machine.stats.total > 0
 
 
-# -- backend sweep ---------------------------------------------------------
-def resolve_bench_backends(names=None) -> dict:
-    """``{name: backend}`` for the sweep: every backend that can run
-    natively here by default, or an explicit name list (in which case
-    an unavailable ``numba`` still runs — measuring its degraded
-    numpy-fallback path is itself informative)."""
-    if names is None:
-        names = [n for n, ok in sorted(available_backends().items()) if ok]
-    return {name: get_backend(name) for name in names}
-
-
-def measure_kernel_backends(
+# -- packed-word kernels ----------------------------------------------------
+def measure_kernels(
     n_rows: int = KERNEL_ROWS,
     bits: int = KERNEL_BITS,
-    backends=None,
     repeats: int = 3,
     seed: int = 0,
 ) -> dict:
-    """Time the hot batched kernels once per backend (best of
-    ``repeats``), verifying bit-identity against the numpy reference
-    on every backend before trusting any timing.
+    """Time the score path's batched kernels (best of ``repeats``),
+    first checking each bit-identical to a reference computed on the
+    unpacked boolean matrix.
 
-    Returns a JSON-safe report keyed by backend name with per-kernel
-    ``seconds`` / ``rows_per_sec`` rows, plus the
-    ``tiled_over_numpy`` containment ratio the perf gate enforces.
+    Returns a JSON-safe report with per-kernel ``seconds`` /
+    ``rows_per_sec`` rows under ``backends.numpy``, the layout recorded
+    baselines use.
     """
     rng = np.random.default_rng(seed)
-    a = pack_bool_matrix(rng.random((n_rows, bits)) < 0.3)
-    b = pack_bool_matrix(rng.random((1, bits)) < 0.3)
+    flags = rng.integers(0, 10, size=(n_rows, bits), dtype=np.uint8) < 3
+    canary = rng.integers(0, 10, size=bits, dtype=np.uint8) < 3
+    a = pack_bool_matrix(flags)
+    b = pack_bool_matrix(canary[None])
     n_words = a.shape[1]
     step = max(1, n_words // 4)
     offsets = np.arange(0, n_words, step, dtype=np.intp)[:4]
+    hits = flags & canary
+    ones = flags.sum(axis=1)
+    containment = np.zeros(n_rows)
+    nz = ones > 0
+    containment[nz] = hits.sum(axis=1)[nz] / ones[nz]
+    bounds = list(offsets * WORD_BITS) + [bits]
     reference = {
-        "containment": batch_containment(a, b),
-        "per_tap": segment_popcount(a & b, offsets),
-        "popcount": batch_popcount(a),
+        "containment": containment,
+        "per_tap": np.stack(
+            [hits[:, lo:hi].sum(axis=1)
+             for lo, hi in zip(bounds[:-1], bounds[1:])],
+            axis=1,
+        ),
+        "popcount": ones,
     }
+    del flags, hits
     kernels = {
-        "containment": lambda k: k.batch_containment(a, b),
-        "per_tap": lambda k: k.segment_and_popcount(a, b, offsets),
-        "popcount": lambda k: k.batch_popcount(a),
+        "containment": lambda: batch_containment(a, b),
+        "per_tap": lambda: segment_popcount(a & b, offsets),
+        "popcount": lambda: batch_popcount(a),
     }
-    report = {
+    row = {}
+    for kernel_name, fn in kernels.items():
+        out = fn()  # warm-up pass doubles as identity check
+        if not np.array_equal(out, reference[kernel_name]):
+            raise RuntimeError(
+                f"{kernel_name} kernel differs from the boolean reference"
+            )
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        row[kernel_name] = {
+            "seconds": best,
+            "rows_per_sec": n_rows / best if best > 0 else 0.0,
+        }
+    return {
         "n_rows": n_rows,
         "bits": bits,
         "n_words": int(n_words),
         "repeats": repeats,
         "cpu_count": os.cpu_count() or 1,
-        "backends": {},
+        "backends": {"numpy": row},
     }
-    for name, backend in resolve_bench_backends(backends).items():
-        row = {}
-        for kernel_name, fn in kernels.items():
-            out = fn(backend)  # warm-up pass doubles as identity check
-            if not np.array_equal(out, reference[kernel_name]):
-                raise RuntimeError(
-                    f"backend {name!r} changed {kernel_name} results"
-                )
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                fn(backend)
-                best = min(best, time.perf_counter() - start)
-            row[kernel_name] = {
-                "seconds": best,
-                "rows_per_sec": n_rows / best if best > 0 else 0.0,
-            }
-        # report what actually computed (the numba backend may have
-        # degraded to the reference kernels)
-        row["effective"] = getattr(backend, "effective_name", backend.name)
-        report["backends"][name] = row
-    rows = report["backends"]
-    if "numpy" in rows and "tiled" in rows:
-        report["tiled_over_numpy"] = (
-            rows["numpy"]["containment"]["seconds"]
-            / rows["tiled"]["containment"]["seconds"]
-        )
-    return report
 
 
-def render_backend_table(report: dict) -> str:
+def render_kernel_table(report: dict) -> str:
     from repro.eval import render_table
 
-    rows = []
-    for name, row in report["backends"].items():
-        label = name if row["effective"] == name else (
-            f"{name} (-> {row['effective']})"
-        )
-        rows.append((
-            label,
-            f"{row['containment']['rows_per_sec'] / 1e6:.1f}M",
-            f"{row['per_tap']['rows_per_sec'] / 1e6:.1f}M",
-            f"{row['popcount']['rows_per_sec'] / 1e6:.1f}M",
-        ))
+    row = report["backends"]["numpy"]
     return render_table(
-        f"kernel backends: {report['n_rows']} rows x "
+        f"packed-word kernels: {report['n_rows']} rows x "
         f"{report['n_words']} words, best of {report['repeats']} "
         f"({report['cpu_count']} CPUs)",
-        ["backend", "containment rows/s", "per-tap rows/s",
-         "popcount rows/s"],
-        rows,
+        ["containment rows/s", "per-tap rows/s", "popcount rows/s"],
+        [tuple(
+            f"{row[name]['rows_per_sec'] / 1e6:.1f}M"
+            for name in ("containment", "per_tap", "popcount")
+        )],
     )
 
 
-def test_micro_kernel_backend_sweep(benchmark):
-    """Every runnable backend, bit-identical and timed, at a size small
-    enough for CI but past the forced-tiling threshold."""
+def test_micro_kernels(benchmark):
+    """The score path's kernels, bit-identical and timed, at a size
+    small enough for CI."""
     report = benchmark.pedantic(
-        lambda: measure_kernel_backends(n_rows=512, bits=64 * 64, repeats=1),
+        lambda: measure_kernels(n_rows=512, bits=64 * 64, repeats=1),
         rounds=1, iterations=1,
     )
     print()
-    print(render_backend_table(report))
-    assert set(report["backends"]) >= {"numpy", "tiled"}
-    for row in report["backends"].values():
-        assert row["containment"]["rows_per_sec"] > 0
+    print(render_kernel_table(report))
+    assert report["backends"]["numpy"]["containment"]["rows_per_sec"] > 0
 
 
 def main(argv=None) -> int:
-    """Standalone entry point for the nightly backend-sweep artifact."""
+    """Standalone entry point for the nightly kernel artifact."""
     import argparse
     import json
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", nargs="+", default=None,
-                        choices=["numpy", "tiled", "numba"],
-                        help="backends to sweep (default: every backend "
-                        "that can run natively here)")
     parser.add_argument("--rows", type=int, default=KERNEL_ROWS)
     parser.add_argument("--bits", type=int, default=KERNEL_BITS)
     parser.add_argument("--repeats", type=int, default=3)
@@ -246,16 +212,10 @@ def main(argv=None) -> int:
 
     if smoke_requested(args.smoke):
         args.rows, args.bits = cap_kernel_sizes(args.rows, args.bits)
-    report = measure_kernel_backends(
-        n_rows=args.rows, bits=args.bits,
-        backends=args.backend, repeats=args.repeats,
+    report = measure_kernels(
+        n_rows=args.rows, bits=args.bits, repeats=args.repeats
     )
-    print(render_backend_table(report))
-    if report.get("tiled_over_numpy") is not None:
-        print(f"tiled over numpy (containment): "
-              f"{report['tiled_over_numpy']:.2f}x on "
-              f"{report['cpu_count']} CPU(s) "
-              f"(CI gate: >= {TILED_SPEEDUP_FLOOR}x on multi-core)")
+    print(render_kernel_table(report))
     if args.output:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.output}")

@@ -42,16 +42,11 @@ small — the parity floor guards against the transport ever *costing*
 throughput, skipped on single-CPU hosts where scheduling noise
 swamps it).
 
-The kernel backends get the same two-level treatment: the batched
-packed-word kernels are swept per available backend
-(``benchmarks/bench_micro_primitives.measure_kernel_backends``, which
-fails fatally if any backend is not bit-identical to the numpy
-reference), absolute rows/sec are gated against the baseline's
-``kernels`` section, and the hardware-independent claim — the tiled
-backend reaching >= 1.5x the numpy reference on large batches — is
-enforced as a ratio wherever >= 2 CPUs exist (on a single CPU the
-tiled backend deliberately falls through to numpy, so the gate is
-skipped, not failed).
+The batched packed-word kernels of the score path are timed on large
+matrices (``benchmarks/bench_micro_primitives.measure_kernels``, which
+fails fatally if any kernel is not bit-identical to its boolean
+reference), and their absolute rows/sec are gated against the
+baseline's ``kernels`` section.
 
 The scenario suite closes the accuracy side: the smoke gate grid
 ({bim, fgsm} x {ptolemy_fwab, ep} x {none, gaussian_noise@3}) runs
@@ -242,14 +237,13 @@ def run_transport_bench() -> dict:
 
 
 def run_kernel_bench() -> dict:
-    """The batched-kernel backend sweep (large synthetic matrices so
-    the tiled backend's tiling genuinely engages).  Bit-identity across
-    backends is checked inside the measurement — a mismatch raises
-    before any number is trusted."""
-    from bench_micro_primitives import measure_kernel_backends
+    """The batched-kernel timing on large synthetic matrices.
+    Bit-identity to the boolean reference is checked inside the
+    measurement — a mismatch raises before any number is trusted."""
+    from bench_micro_primitives import measure_kernels
 
     try:
-        report = measure_kernel_backends()
+        report = measure_kernels()
     except RuntimeError as exc:
         raise SystemExit(f"FATAL: {exc}") from exc
     return report
@@ -386,21 +380,13 @@ def main(argv=None) -> int:
     else:
         print("  shared memory unavailable: queue-only measurement")
 
-    print("perf gate: measuring kernel backend sweep (large packed "
-          "matrices, per available backend)...")
+    print("perf gate: measuring packed-word kernels (large packed "
+          "matrices)...")
     current_kernels = run_kernel_bench()
-    for name, row in current_kernels["backends"].items():
-        effective = row["effective"]
-        suffix = "" if effective == name else f" (-> {effective})"
-        print(f"  {name:6s}{suffix}: "
-              f"{row['containment']['rows_per_sec'] / 1e6:6.1f}M "
-              f"containment rows/s, "
-              f"{row['per_tap']['rows_per_sec'] / 1e6:6.1f}M per-tap "
-              f"rows/s")
-    if current_kernels.get("tiled_over_numpy") is not None:
-        print(f"  tiled over numpy: "
-              f"{current_kernels['tiled_over_numpy']:.2f}x on "
-              f"{current_kernels['cpu_count']} CPU(s)")
+    row = current_kernels["backends"]["numpy"]
+    print(f"  {row['containment']['rows_per_sec'] / 1e6:6.1f}M "
+          f"containment rows/s, "
+          f"{row['per_tap']['rows_per_sec'] / 1e6:6.1f}M per-tap rows/s")
 
     print(f"perf gate: measuring HTTP closed-loop serving "
           f"({HTTP_TRAFFIC} samples, fixed vs adaptive)...")
@@ -571,9 +557,7 @@ def main(argv=None) -> int:
                     f"{cpus} CPUs"
                 )
 
-    # -- kernel backend envelope ----------------------------------------
-    from bench_micro_primitives import TILED_SPEEDUP_FLOOR
-
+    # -- kernel envelope ------------------------------------------------
     kernel_baseline = baseline_file.get("kernels")
     if kernel_baseline is None:
         print("  (baseline has no kernels section; run --update to "
@@ -606,30 +590,6 @@ def main(argv=None) -> int:
                         f"< {floor:.0f} ({args.tolerance:.0%} below "
                         f"{old:.0f})"
                     )
-    # The backend claim itself is ratio-only by construction — tiled
-    # must beat the numpy reference on large batches wherever the
-    # hardware can possibly deliver it (>= 2 CPUs; on a single CPU the
-    # tiled backend deliberately falls through to numpy, so the ratio
-    # is parity by design and the gate is skipped).
-    tiled_ratio = current_kernels.get("tiled_over_numpy")
-    cpus = current_kernels["cpu_count"]
-    if tiled_ratio is None:
-        print("  tiled-over-numpy gate skipped: sweep lacks a "
-              "numpy+tiled pair")
-    elif cpus < 2:
-        print(f"  tiled-over-numpy gate skipped: {cpus} CPU(s) — the "
-              f"tiled backend cannot parallelise here")
-    else:
-        status = ("ok" if tiled_ratio >= TILED_SPEEDUP_FLOOR
-                  else "REGRESSION")
-        print(f"  tiled over numpy (large-batch containment): "
-              f"{tiled_ratio:.2f}x vs envelope floor "
-              f"{TILED_SPEEDUP_FLOOR:.2f}x {status}")
-        if tiled_ratio < TILED_SPEEDUP_FLOOR:
-            failures.append(
-                f"tiled backend {tiled_ratio:.2f}x over numpy < envelope "
-                f"floor {TILED_SPEEDUP_FLOOR:.2f}x on {cpus} CPUs"
-            )
 
     # -- HTTP serving envelope ------------------------------------------
     from bench_http_serving import ADAPTIVE_THROUGHPUT_FLOOR

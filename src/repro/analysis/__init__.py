@@ -5,7 +5,7 @@ serving stack's bit-identity guarantee rests on:
 
 * ``RPR1xx`` concurrency — shm lifecycle, slab pairing, lock
   discipline, worker-global writes (:mod:`repro.analysis.concurrency`)
-* ``RPR2xx`` dispatch — backend-registry bypasses in hot paths
+* ``RPR2xx`` dispatch — packed-word math outside ``repro.core`` in hot paths
   (:mod:`repro.analysis.dispatch`)
 * ``RPR3xx`` API contracts — the one non-2xx error schema
   (:mod:`repro.analysis.api`)

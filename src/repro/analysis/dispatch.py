@@ -1,14 +1,13 @@
-"""Dispatch rules (RPR2xx): hot packed-word math must use the backend
-registry.
+"""Dispatch rules (RPR2xx): packed-word math has one owner.
 
-PR 6 made the seven hot primitives pluggable through
-``repro.core.backends``; the tiled/numba CI legs force a backend via
-``REPRO_KERNEL_BACKEND`` and assert bit-identity.  A direct
-``np.bitwise_count`` (or a direct import of the numpy reference
-kernels) in a hot path silently computes on the reference backend no
-matter what the matrix leg selected — the gate then measures nothing.
-``repro/core/`` itself is exempt: it is where the reference kernels
-and the sanctioned ``kernels=None -> reference`` dispatch live.
+The packed-word kernels live in ``repro.core`` (``core.bitmask``),
+and the runtime, ISA and suite layers reach them only through
+``repro.core.path`` and the detector.  A raw ``np.bitwise_count`` (or
+a direct import of a ``core.bitmask`` batch primitive) in one of those
+layers is a second copy of the detection math: it can drift from the
+word layout and tie-breaking the bit-identity tests pin, and a change
+to the kernels no longer lands everywhere at once.  ``repro/core/``
+itself is exempt: it is the owner.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from .base import Checker, FileContext, Finding, dotted_name, register
 #: Path fragments of the hot serving/validation layers the rule guards.
 HOT_PATHS = ("repro/runtime/", "repro/isa/", "repro/suite/")
 
-#: Raw numpy entry points that bypass the backend registry when applied
-#: to packed uint64 words.
+#: Raw numpy entry points that duplicate ``repro.core``'s packed-word
+#: math when applied to uint64 words.
 _NUMPY_BYPASS = {
     "bitwise_count",
     "bitwise_and",
@@ -32,8 +31,8 @@ _NUMPY_BYPASS = {
     "unpackbits",
 }
 
-#: The batch primitives the backend registry owns; importing them
-#: straight from the reference module pins the numpy implementation.
+#: The batch primitives of ``core.bitmask``; outside ``repro.core``
+#: they are reached through ``core.path`` and the detector.
 _HOT_PRIMITIVES = {
     "batch_or",
     "batch_popcount",
@@ -56,8 +55,8 @@ class BackendBypassChecker(Checker):
     code = "RPR201"
     name = "backend-bypass"
     summary = (
-        "hot paths must route packed-word math through "
-        "repro.core.backends, not raw numpy bitwise/popcount calls"
+        "hot paths must leave packed-word math to repro.core, not "
+        "make raw numpy bitwise/popcount calls"
     )
     paths_note = "repro/{runtime,isa,suite}/"
 
@@ -76,10 +75,9 @@ class BackendBypassChecker(Checker):
                 yield self.finding(
                     ctx,
                     node,
-                    f"direct {name}() bypasses the kernel backend "
-                    "registry; take a KernelBackend (kernels=...) and "
-                    "call its batch primitive so forced-backend CI "
-                    "legs exercise this path",
+                    f"direct {name}() duplicates repro.core's "
+                    "packed-word math; go through repro.core.path or "
+                    "the detector so the kernels keep one owner",
                 )
 
 
@@ -91,7 +89,7 @@ class ReferenceImportChecker(Checker):
     name = "reference-import"
     summary = (
         "hot paths must not import the batch primitives straight from "
-        "repro.core.bitmask; resolve them via repro.core.backends"
+        "repro.core.bitmask; reach them via repro.core.path"
     )
     paths_note = "repro/{runtime,isa,suite}/"
 
@@ -112,10 +110,9 @@ class ReferenceImportChecker(Checker):
                     yield self.finding(
                         ctx,
                         node,
-                        f"imports {', '.join(hot)} straight from the "
-                        "numpy reference module; use "
-                        "repro.core.backends.get_backend() so the "
-                        "backend stays selectable",
+                        f"imports {', '.join(hot)} straight from "
+                        "repro.core.bitmask; use the repro.core.path "
+                        "functions or the detector instead",
                     )
             elif isinstance(node, ast.Call):
                 name = dotted_name(node.func)
@@ -124,7 +121,7 @@ class ReferenceImportChecker(Checker):
                     yield self.finding(
                         ctx,
                         node,
-                        f"direct {name}() call pins the numpy "
-                        "reference kernel; resolve a backend via "
-                        "repro.core.backends instead",
+                        f"direct {name}() call reaches past "
+                        "repro.core.path; use its functions or the "
+                        "detector instead",
                     )

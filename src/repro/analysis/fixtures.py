@@ -153,7 +153,7 @@ def _worker_loop(inbox, outbox):
     return batches
 ''',
     ),
-    # -- RPR201: backend bypass ----------------------------------------
+    # -- RPR201: raw packed-word math ----------------------------------
     Fixture(
         "RPR201", "violation", "src/repro/isa/_fx_kernel.py",
         '''\
@@ -167,12 +167,8 @@ def tile_popcount(words):
     Fixture(
         "RPR201", "clean", "src/repro/isa/_fx_kernel.py",
         '''\
-def tile_popcount(words, kernels=None):
-    if kernels is None:
-        from repro.core.backends import get_backend
-
-        kernels = get_backend("numpy")
-    return kernels.batch_popcount(words)
+def tile_popcount(batch):
+    return batch.popcounts()
 ''',
     ),
     # -- RPR202: reference-kernel import -------------------------------
@@ -189,12 +185,11 @@ def overlap(a, b):
     Fixture(
         "RPR202", "clean", "src/repro/suite/_fx_score.py",
         '''\
-from repro.core.backends import resolve_backend
+from repro.core.path import batch_path_similarity
 
 
-def overlap(a, b, backend=None):
-    kernels = resolve_backend(backend)
-    return kernels.batch_and_popcount(a, b)
+def overlap(batch, canary_words):
+    return batch_path_similarity(batch, canary_words)
 ''',
     ),
     # -- RPR301: non-2xx outside send_error_json -----------------------

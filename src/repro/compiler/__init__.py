@@ -3,10 +3,6 @@ builds the optimised block schedules the hardware model executes."""
 
 from repro.compiler.memory_map import MemoryMap
 from repro.compiler.codegen import (
-    BatchKernelSchedule,
-    KernelMicroOp,
-    compile_batch_containment,
-    compile_batch_per_tap,
     compile_bwcu,
     compile_inference,
     theta_to_fixed,
@@ -23,10 +19,6 @@ __all__ = [
     "compile_bwcu",
     "compile_inference",
     "theta_to_fixed",
-    "BatchKernelSchedule",
-    "KernelMicroOp",
-    "compile_batch_containment",
-    "compile_batch_per_tap",
     "Block",
     "Schedule",
     "apply_optimizations",

@@ -30,14 +30,7 @@ r14/15 class path / activation path bases
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
-
 from repro.compiler.memory_map import MemoryMap
-from repro.core.backends import plan_row_tiles, tile_rows_for
-from repro.core.bitmask import validate_segment_offsets
 from repro.core.config import Direction, ExtractionConfig, Thresholding
 from repro.isa.encoding import Opcode
 from repro.isa.machine import FIXED_ONE
@@ -48,10 +41,6 @@ __all__ = [
     "compile_bwcu",
     "compile_inference",
     "theta_to_fixed",
-    "KernelMicroOp",
-    "BatchKernelSchedule",
-    "compile_batch_containment",
-    "compile_batch_per_tap",
 ]
 
 
@@ -164,152 +153,3 @@ def compile_bwcu(
     program.append(Opcode.HALT)
     return program
 
-
-# -- batch kernel schedules ------------------------------------------------
-#
-# The scalar detection program above extracts ONE activation path; the
-# deployed service scores whole (N, words) packed batches at once.  The
-# four-bit opcode space is fully assigned, so batched scoring is not
-# expressed as new instructions: instead the compiler lowers each hot
-# kernel to a *schedule* of packed-word micro-ops — a row-tile loop
-# (the same tiling the threaded backend uses, via
-# :func:`repro.core.backends.plan_row_tiles`) crossed with word-segment
-# ranges — which the ISS executes on a dedicated batch unit.  Running a
-# schedule therefore validates both the arithmetic and the tiled
-# backend's traversal order against the numpy reference.
-
-
-@dataclass(frozen=True)
-class KernelMicroOp:
-    """One packed-word micro-operation over a row tile x word segment.
-
-    ``op`` names the primitive (``"andpop"`` = popcount of the AND with
-    the canary words, ``"pop"`` = plain popcount, ``"orpop"`` = popcount
-    of the OR).  Rows ``[row0, row1)`` and word columns
-    ``[word0, word1)`` bound the operand slice; the per-row partial
-    counts accumulate into column ``col`` of output buffer ``out``.
-    """
-
-    op: str
-    row0: int
-    row1: int
-    word0: int
-    word1: int
-    out: str
-    col: int = 0
-
-
-@dataclass(frozen=True)
-class BatchKernelSchedule:
-    """A compiled batch kernel: metadata plus its micro-op stream.
-
-    ``tiles`` is the row-tile plan the micro-ops were emitted from (the
-    outer loop); ``segments`` the word-column ranges (the inner loop);
-    ``outputs`` maps each accumulator buffer name to its column count.
-    Micro-ops appear in execution order — tile-major, segment-minor —
-    so an executor's traversal trace can be compared to the plan.
-    """
-
-    kernel: str
-    n_rows: int
-    n_words: int
-    tile_rows: int
-    tiles: Tuple[Tuple[int, int], ...]
-    segments: Tuple[Tuple[int, int], ...]
-    outputs: Tuple[Tuple[str, int], ...]
-    micro_ops: Tuple[KernelMicroOp, ...]
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.tiles)
-
-
-def _resolve_tile_rows(
-    n_rows: int, n_words: int, tile_rows: Optional[int]
-) -> int:
-    if tile_rows is None:
-        return tile_rows_for(n_rows, n_words * 8)
-    if tile_rows < 1:
-        raise ValueError("tile_rows must be >= 1")
-    return tile_rows
-
-
-def compile_batch_containment(
-    n_rows: int,
-    n_words: int,
-    tile_rows: Optional[int] = None,
-) -> BatchKernelSchedule:
-    """Lower the batched containment score ``||A & B|| / ||A||`` to a
-    micro-op schedule over an ``(n_rows, n_words)`` packed matrix.
-
-    Each row tile emits an ``andpop`` (numerator) and a ``pop``
-    (denominator) over the full word range; ``tile_rows`` defaults to
-    the cache-sized tiling of the tiled backend so the schedule walks
-    rows in exactly the order that backend does.
-    """
-    if n_words < 1:
-        raise ValueError("n_words must be >= 1")
-    tile_rows = _resolve_tile_rows(n_rows, n_words, tile_rows)
-    tiles = tuple(plan_row_tiles(n_rows, tile_rows))
-    segments = ((0, n_words),)
-    micro_ops = []
-    for row0, row1 in tiles:
-        micro_ops.append(KernelMicroOp(
-            "andpop", row0, row1, 0, n_words, out="inter"))
-        micro_ops.append(KernelMicroOp(
-            "pop", row0, row1, 0, n_words, out="denom"))
-    return BatchKernelSchedule(
-        kernel="containment",
-        n_rows=n_rows,
-        n_words=n_words,
-        tile_rows=tile_rows,
-        tiles=tiles,
-        segments=segments,
-        outputs=(("inter", 1), ("denom", 1)),
-        micro_ops=tuple(micro_ops),
-    )
-
-
-def compile_batch_per_tap(
-    n_rows: int,
-    n_words: int,
-    tap_offsets,
-    tile_rows: Optional[int] = None,
-) -> BatchKernelSchedule:
-    """Lower the per-tap hit-count kernel (the fused
-    ``segment_and_popcount``) to a micro-op schedule.
-
-    ``tap_offsets`` are word-column starts as in
-    :func:`repro.core.bitmask.segment_popcount`; segment ``k`` covers
-    ``[offsets[k], offsets[k+1])`` with the last running to
-    ``n_words``.  The schedule is tile-major, segment-minor: one
-    ``andpop`` per (tile, non-empty segment) pair accumulating into
-    column ``k`` of the ``hits`` buffer, so zero-length segments emit
-    no micro-ops and their columns stay 0 — the reference semantics.
-    """
-    if n_words < 1:
-        raise ValueError("n_words must be >= 1")
-    offsets = np.asarray(tap_offsets, dtype=np.intp)
-    starts, ends = validate_segment_offsets(offsets, n_words)
-    segments = tuple(
-        (int(w0), int(w1)) for w0, w1 in zip(starts, ends)
-    )
-    tile_rows = _resolve_tile_rows(n_rows, n_words, tile_rows)
-    tiles = tuple(plan_row_tiles(n_rows, tile_rows))
-    micro_ops = []
-    for row0, row1 in tiles:
-        for col, (w0, w1) in enumerate(segments):
-            if w0 >= w1:
-                continue
-            micro_ops.append(KernelMicroOp(
-                "andpop", row0, row1, w0, w1, out="hits", col=col))
-    return BatchKernelSchedule(
-        kernel="per_tap",
-        n_rows=n_rows,
-        n_words=n_words,
-        tile_rows=tile_rows,
-        tiles=tiles,
-        segments=segments,
-        outputs=(("hits", len(segments)),),
-        micro_ops=tuple(micro_ops),
-    )

@@ -3,13 +3,6 @@ contribution): path extraction, canary class paths, similarity, and
 the random-forest adversarial classifier."""
 
 from repro.core.config import Direction, ExtractionConfig, LayerSpec, Thresholding
-from repro.core.backends import (
-    KERNEL_BACKEND_ENV,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
 from repro.core.bitmask import (
     Bitmask,
     batch_and_popcount,
@@ -75,11 +68,6 @@ __all__ = [
     "ExtractionConfig",
     "LayerSpec",
     "Thresholding",
-    "KERNEL_BACKEND_ENV",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
     "Bitmask",
     "batch_and_popcount",
     "batch_containment",

@@ -13,7 +13,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends import resolve_backend
 from repro.core.classifier import RandomForest
 from repro.core.config import Direction, ExtractionConfig
 from repro.core.extraction import (
@@ -107,14 +106,11 @@ class PtolemyDetector:
         classifier; ``"per_layer"`` (default) additionally feeds the
         per-tap similarity vector, which is strictly richer and equally
         cheap to compute in hardware (one popcount per tap).
-    backend:
-        Kernel backend for the batched score path (see
-        :mod:`repro.core.backends`).  ``None`` resolves through the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then
-        ``config.backend``, then the numpy reference.  Backends are
-        bit-identical on scores and decisions; this is a throughput
-        knob only.
     """
+
+    #: Always ``None``; kept so callers that pass ``kernels=`` to the
+    #: :mod:`repro.core.path` batch functions keep working.
+    kernels = None
 
     def __init__(
         self,
@@ -124,7 +120,6 @@ class PtolemyDetector:
         n_trees: int = 100,
         max_depth: int = 12,
         seed: int = 0,
-        backend: Optional[str] = None,
     ):
         if feature_mode not in ("scalar", "per_layer"):
             raise ValueError("feature_mode must be 'scalar' or 'per_layer'")
@@ -138,21 +133,13 @@ class PtolemyDetector:
         self.last_trace = None
         self._canary_cache = None
         self._canary_cache_key = None
-        self.kernels = resolve_backend(backend, config_backend=config.backend)
 
     @property
     def kernel_backend(self) -> str:
-        """Name of the active kernel backend (what introspection
+        """The kernels the batched score path runs on: always the numpy
+        kernels of :mod:`repro.core.bitmask` (what introspection
         surfaces report)."""
-        return self.kernels.name
-
-    def set_backend(self, backend: Optional[str]) -> "PtolemyDetector":
-        """Re-resolve the kernel backend (deployment-time override:
-        engines and shard workers call this with their own knob)."""
-        self.kernels = resolve_backend(
-            backend, config_backend=self.config.backend
-        )
-        return self
+        return "numpy"
 
     # -- offline ----------------------------------------------------------
     def profile(
@@ -259,11 +246,9 @@ class PtolemyDetector:
         result = self.extractor.extract_batch(x, reuse_forward=reuse_forward)
         canaries = self._packed_canaries()
         rows, _known = canaries.rows_for(result.predicted_classes)
-        sims = batch_path_similarity(result.packed, rows, kernels=self.kernels)
+        sims = batch_path_similarity(result.packed, rows)
         if self.feature_mode == "per_layer":
-            per_tap = batch_per_tap_similarity(
-                result.packed, rows, kernels=self.kernels
-            )
+            per_tap = batch_per_tap_similarity(result.packed, rows)
             features = np.concatenate([sims[:, None], per_tap], axis=1)
         else:
             features = sims[:, None]

@@ -109,7 +109,6 @@ def config_to_dict(config: ExtractionConfig) -> dict:
     """JSON-safe representation of an ExtractionConfig."""
     return {
         "direction": config.direction.value,
-        "backend": config.backend,
         "layers": [
             {
                 "mechanism": spec.mechanism.value,
@@ -122,8 +121,8 @@ def config_to_dict(config: ExtractionConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExtractionConfig:
-    """Inverse of :func:`config_to_dict` (tolerates pre-backend dicts,
-    so detectors saved before the backend knob existed still load)."""
+    """Inverse of :func:`config_to_dict`.  Unknown keys are ignored, so
+    detectors saved with the former ``"backend"`` key still load."""
     return ExtractionConfig(
         Direction(data["direction"]),
         [
@@ -134,7 +133,6 @@ def config_from_dict(data: dict) -> ExtractionConfig:
             )
             for layer in data["layers"]
         ],
-        backend=data.get("backend"),
     )
 
 

@@ -116,8 +116,21 @@ def tune_knobs(
     lower latency.  ``best`` is ``None`` when no point fits, in which
     case the caller can inspect ``rejected`` for the nearest misses.
     """
+    _check_budgets(latency_budget, energy_budget)
     points = sweep_design_space(workbench, grid, attacks)
     return select_within_budget(points, latency_budget, energy_budget)
+
+
+def _check_budgets(latency_budget: float, energy_budget: float) -> None:
+    """Budgets are multiples of plain inference: at least 1.0, with
+    infinity meaning unbounded.  NaN compares false with everything, so
+    it would silently reject every point; it is refused instead."""
+    for budget in (latency_budget, energy_budget):
+        if not budget >= 1.0:
+            raise ValueError(
+                "budgets are multiples of plain inference and must be "
+                f">= 1.0 (got {budget!r})"
+            )
 
 
 def select_within_budget(
@@ -132,10 +145,7 @@ def select_within_budget(
     ``examples/tradeoff_explorer.py``).  Ties on AUC break toward
     lower latency.
     """
-    if latency_budget < 1.0 or energy_budget < 1.0:
-        raise ValueError(
-            "budgets are multiples of plain inference and must be >= 1.0"
-        )
+    _check_budgets(latency_budget, energy_budget)
     admissible = [
         p for p in points if p.within(latency_budget, energy_budget)
     ]

@@ -33,7 +33,7 @@ import numpy as np
 from repro.isa.encoding import Instruction, Opcode
 from repro.isa.program import Program
 
-__all__ = ["Machine", "MachineError", "FIXED_ONE", "BatchKernelUnit"]
+__all__ = ["Machine", "MachineError", "FIXED_ONE"]
 
 #: Q8 fixed-point scale used by mov/mul for thresholds.
 FIXED_ONE = 256
@@ -239,102 +239,3 @@ class Machine:
             addr = self.adapter.findrf(self, int(self.regs[ops[0]]))
             self.regs[ops[1]] = addr
 
-
-class BatchKernelUnit:
-    """Executes compiled batch kernel schedules over packed matrices.
-
-    The scalar :class:`Machine` extracts one path at a time through its
-    float64 word memory; deployed scoring instead runs whole
-    ``(N, words)`` uint64 batches.  The four-bit opcode space is fully
-    assigned, so the compiler lowers those kernels to
-    :class:`~repro.compiler.codegen.BatchKernelSchedule` micro-op
-    streams (row tile x word segment), and this unit interprets them —
-    matrices live in the unit, outside the scalar memory, exactly as
-    the hardware's batch datapath sits beside the FSM-sequenced blocks.
-
-    Every executed micro-op is appended to :attr:`trace` as
-    ``(op, row0, row1, word0, word1)``, so tests can assert the unit
-    walks rows in precisely the tiled backend's
-    :func:`~repro.core.backends.plan_row_tiles` order.
-    """
-
-    def __init__(self, kernels=None):
-        if kernels is None:
-            # Late import: the ISS stays importable without pulling the
-            # whole backends package at module load.
-            from repro.core.backends import get_backend
-
-            kernels = get_backend("numpy")
-        #: KernelBackend the micro-ops compute through; defaults to the
-        #: numpy reference (every backend is bit-identical to it).
-        self.kernels = kernels
-        self.trace: List[tuple] = []
-
-    def execute(self, schedule, activation_words, canary_words) -> dict:
-        """Run one schedule; returns ``{buffer: (n_rows, cols) int64}``.
-
-        ``activation_words`` must be the ``(n_rows, n_words)`` packed
-        matrix the schedule was compiled for; ``canary_words`` is one
-        packed row (broadcast) or a matching matrix.
-        """
-        a = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(activation_words)), dtype=np.uint64
-        )
-        if a.shape != (schedule.n_rows, schedule.n_words):
-            raise MachineError(
-                f"schedule compiled for {(schedule.n_rows, schedule.n_words)}"
-                f" but got matrix {a.shape}"
-            )
-        b = np.ascontiguousarray(
-            np.atleast_2d(np.asarray(canary_words)), dtype=np.uint64
-        )
-        if b.shape[1] != schedule.n_words or b.shape[0] not in (1, a.shape[0]):
-            raise MachineError(
-                f"canary shape {b.shape} incompatible with schedule"
-            )
-        outputs = {
-            name: np.zeros((schedule.n_rows, cols), dtype=np.int64)
-            for name, cols in schedule.outputs
-        }
-        for mo in schedule.micro_ops:
-            self.trace.append((mo.op, mo.row0, mo.row1, mo.word0, mo.word1))
-            asub = a[mo.row0:mo.row1, mo.word0:mo.word1]
-            brows = b if b.shape[0] == 1 else b[mo.row0:mo.row1]
-            bsub = brows[:, mo.word0:mo.word1]
-            if mo.op == "andpop":
-                part = self.kernels.batch_and_popcount(asub, bsub)
-            elif mo.op == "pop":
-                part = self.kernels.batch_popcount(asub)
-            elif mo.op == "orpop":
-                part = self.kernels.batch_popcount(asub | bsub)
-            else:
-                raise MachineError(f"unknown micro-op {mo.op!r}")
-            try:
-                out = outputs[mo.out]
-            except KeyError:
-                raise MachineError(
-                    f"micro-op targets undeclared buffer {mo.out!r}"
-                ) from None
-            out[mo.row0:mo.row1, mo.col] += part
-        return outputs
-
-    def run_containment(
-        self, schedule, activation_words, canary_words
-    ) -> np.ndarray:
-        """Execute a containment schedule and finish the division:
-        per-row ``inter / denom`` scores, 0.0 where the row is empty —
-        bit-identical to :func:`repro.core.bitmask.batch_containment`."""
-        outputs = self.execute(schedule, activation_words, canary_words)
-        inter = outputs["inter"][:, 0]
-        denom = outputs["denom"][:, 0]
-        scores = np.zeros(schedule.n_rows, dtype=np.float64)
-        nz = denom > 0
-        scores[nz] = inter[nz] / denom[nz]
-        return scores
-
-    def run_per_tap(
-        self, schedule, activation_words, canary_words
-    ) -> np.ndarray:
-        """Execute a per-tap schedule: the ``(n_rows, n_taps)`` hit
-        counts of the fused segment AND-popcount kernel."""
-        return self.execute(schedule, activation_words, canary_words)["hits"]

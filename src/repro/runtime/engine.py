@@ -70,14 +70,9 @@ class DetectionEngine:
         Retain every :class:`BatchDetectionResult` (packed paths
         included) on the run result.  Off by default: serving only
         needs the decision arrays.
-    backend:
-        Kernel backend for the hot detection primitives (see
-        :mod:`repro.core.backends`).  ``None`` keeps the detector's
-        current backend; a name re-resolves it (explicit > env >
-        config > numpy).  Note the backend lives on the detector, so
-        an engine sharing a detector with others switches it for all
-        of them — bit-identical results make that harmless, but
-        reported stage timings will reflect the last engine's choice.
+
+    An engine keeps no per-engine state on its detector, so several
+    engines may share one.
     """
 
     def __init__(
@@ -87,12 +82,9 @@ class DetectionEngine:
         batch_size: int = 64,
         slo_ms: Optional[float] = None,
         keep_batch_results: bool = False,
-        backend: Optional[str] = None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if backend is not None:
-            detector.set_backend(backend)
         if detector.class_paths is None:
             raise ValueError("detector must be profiled before deployment")
         if not detector._fitted:
@@ -120,11 +112,6 @@ class DetectionEngine:
         # Warm the canary word-matrix cache now so the first batch does
         # not pay the packing cost.
         self.detector._packed_canaries()
-
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend the detector computes on."""
-        return self.detector.kernel_backend
 
     # -- deployment -----------------------------------------------------
     @classmethod
@@ -260,7 +247,6 @@ def measure_throughput(
     batch_sizes=(1, 8, 64, 256),
     repeats: int = 2,
     threshold: float = 0.5,
-    backend: Optional[str] = None,
 ) -> dict:
     """Samples/sec (and stage split) per micro-batch size.
 
@@ -278,7 +264,6 @@ def measure_throughput(
             detector,
             threshold=threshold,
             batch_size=batch_size,
-            backend=backend,
         )
         engine.run(traffic[: min(len(traffic), 2 * batch_size)])  # warm
         best = None

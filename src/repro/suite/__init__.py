@@ -1,7 +1,7 @@
 """repro.suite — the unified scenario suite.
 
 One driver (``repro suite``) runs any {attack x defense x corruption x
-workload x backend} grid through the same engine-backed scoring path
+workload} grid through the same engine-backed scoring path
 and normalizes every result into one versioned ScenarioReport schema
 that CI can validate, diff, and gate.
 """

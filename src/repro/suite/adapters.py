@@ -121,46 +121,42 @@ class DefenseAdapter:
 
     name: str
     family: str
-    builder: Callable  # (workbench, fit_attack, backend) -> FittedDefense
+    builder: Callable  # (workbench, fit_attack) -> FittedDefense
     #: path-based defenses observe activation paths, so they are the
     #: only ones a fault attack can meaningfully target.
     path_based: bool = False
     #: engine-scored defenses run through DetectionEngine, so their
-    #: suite scores must be bit-identical to a direct engine run and
-    #: the kernel-backend axis applies to them.
+    #: suite scores must be bit-identical to a direct engine run.
     engine_scored: bool = False
     #: stateful scorers (SAP's RNG advances per call) must be rebuilt
     #: per scenario so every run of the same cell is deterministic.
     cacheable: bool = True
 
-    def build(self, workbench, fit_attack: str,
-              backend: str = "numpy") -> FittedDefense:
-        return self.builder(workbench, fit_attack, backend)
+    def build(self, workbench, fit_attack: str) -> FittedDefense:
+        return self.builder(workbench, fit_attack)
 
 
-def _engine_scorer(detector, backend: str):
+def _engine_scorer(detector):
     """Score through the serving path itself (DetectionEngine.run)."""
     from repro.runtime import DetectionEngine
 
-    engine = DetectionEngine(
-        detector, batch_size=SUITE_BATCH, backend=backend
-    )
+    engine = DetectionEngine(detector, batch_size=SUITE_BATCH)
     return lambda xs: engine.run(xs).scores
 
 
 def _build_ptolemy(variant: str):
-    def build(workbench, fit_attack: str, backend: str) -> FittedDefense:
+    def build(workbench, fit_attack: str) -> FittedDefense:
         started = time.perf_counter()
         detector = workbench.detector(variant, fit_attack=fit_attack)
         fit_seconds = time.perf_counter() - started
         return FittedDefense(
-            _engine_scorer(detector, backend), fit_seconds, detector=detector
+            _engine_scorer(detector), fit_seconds, detector=detector
         )
 
     return build
 
 
-def _build_ep(workbench, fit_attack: str, backend: str) -> FittedDefense:
+def _build_ep(workbench, fit_attack: str) -> FittedDefense:
     from repro.baselines import EPDetector
 
     started = time.perf_counter()
@@ -176,11 +172,11 @@ def _build_ep(workbench, fit_attack: str, backend: str) -> FittedDefense:
     )
     fit_seconds = time.perf_counter() - started
     return FittedDefense(
-        _engine_scorer(detector, backend), fit_seconds, detector=detector
+        _engine_scorer(detector), fit_seconds, detector=detector
     )
 
 
-def _build_cdrp(workbench, fit_attack: str, backend: str) -> FittedDefense:
+def _build_cdrp(workbench, fit_attack: str) -> FittedDefense:
     from repro.baselines import CDRPDetector
 
     started = time.perf_counter()
@@ -194,7 +190,7 @@ def _build_cdrp(workbench, fit_attack: str, backend: str) -> FittedDefense:
     return FittedDefense(_PerSampleScorer(detector.score), fit_seconds)
 
 
-def _build_deepfense(workbench, fit_attack: str, backend: str) -> FittedDefense:
+def _build_deepfense(workbench, fit_attack: str) -> FittedDefense:
     from repro.baselines import DeepFenseDetector
 
     started = time.perf_counter()
@@ -206,7 +202,7 @@ def _build_deepfense(workbench, fit_attack: str, backend: str) -> FittedDefense:
     return FittedDefense(_PerSampleScorer(detector.score), fit_seconds)
 
 
-def _build_transform(workbench, fit_attack: str, backend: str) -> FittedDefense:
+def _build_transform(workbench, fit_attack: str) -> FittedDefense:
     from repro.defenses import TransformDefense
 
     started = time.perf_counter()
@@ -215,7 +211,7 @@ def _build_transform(workbench, fit_attack: str, backend: str) -> FittedDefense:
     return FittedDefense(defense.scores_for_set, fit_seconds)
 
 
-def _build_sap(workbench, fit_attack: str, backend: str) -> FittedDefense:
+def _build_sap(workbench, fit_attack: str) -> FittedDefense:
     from repro.defenses import StochasticActivationPruning
 
     started = time.perf_counter()

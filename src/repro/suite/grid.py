@@ -1,4 +1,4 @@
-"""Grid expansion: {attack x defense x corruption x workload x backend}.
+"""Grid expansion: {attack x defense x corruption x workload}.
 
 A grid is specified as space-separated ``axis=v1,v2`` tokens (the
 ``repro suite --grid`` syntax)::
@@ -9,8 +9,11 @@ A grid is specified as space-separated ``axis=v1,v2`` tokens (the
 Unspecified axes fall back to :data:`DEFAULT_AXES`.  Expansion is the
 cartesian product, filtered by optional include/exclude glob patterns
 over the scenario id and by per-cell compatibility (fault attacks only
-make sense for path-based defenses; non-default kernel backends only
-change anything for engine-scored defenses).
+make sense for path-based defenses).
+
+Scenario ids and report configs end in the kernel backend, which is
+always ``numpy``: schema v1 keys ids, fingerprints and committed
+digests on it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ __all__ = [
 ]
 
 #: Axis order — also the segment order inside a scenario id.
-AXES = ("workload", "attack", "defense", "corruption", "backend")
+AXES = ("workload", "attack", "defense", "corruption")
 
 #: The default grid when ``--grid`` leaves an axis unspecified: a
 #: representative accuracy+robustness slice, small enough to run at
@@ -41,7 +44,6 @@ DEFAULT_AXES: Dict[str, Tuple[str, ...]] = {
     "attack": ("bim", "fgsm", "deepfool"),
     "defense": ("ptolemy_fwab", "ptolemy_bwcu", "ep"),
     "corruption": ("none", "gaussian_noise@3"),
-    "backend": ("numpy",),
 }
 
 #: The ``--smoke`` default grid: {2 attacks x 2 defenses x 1
@@ -51,7 +53,6 @@ SMOKE_AXES: Dict[str, Tuple[str, ...]] = {
     "attack": ("bim", "fgsm"),
     "defense": ("ptolemy_fwab", "ep"),
     "corruption": ("none",),
-    "backend": ("numpy",),
 }
 
 
@@ -63,13 +64,12 @@ class ScenarioSpec:
     attack: str
     defense: str
     corruption: str = "none"
-    backend: str = "numpy"
 
     @property
     def scenario_id(self) -> str:
         return "/".join(
             (self.workload, self.attack, self.defense, self.corruption,
-             self.backend)
+             "numpy")
         )
 
     @property
@@ -96,7 +96,7 @@ class ScenarioSpec:
             "attack": self.attack,
             "defense": self.defense,
             "corruption": self.corruption,
-            "backend": self.backend,
+            "backend": "numpy",
         }
 
 
@@ -158,11 +158,6 @@ def _compatibility(spec: ScenarioSpec) -> Optional[str]:
             f"fault injection perturbs activations, which only "
             f"path-based defenses observe ({spec.defense} is not)"
         )
-    if spec.backend != "numpy" and not defense.engine_scored:
-        return (
-            f"kernel backend {spec.backend!r} only affects engine-scored "
-            f"defenses; {spec.defense} would duplicate the numpy cell"
-        )
     if spec.corruption != "none":
         name = spec.corruption_name
         severity = spec.corruption_severity
@@ -185,7 +180,7 @@ def expand_grid(
     """Cartesian product of the axes, minus filtered/incompatible cells.
 
     ``include``/``exclude`` are glob patterns matched against the
-    scenario id (``workload/attack/defense/corruption/backend``); a
+    scenario id (``workload/attack/defense/corruption/numpy``); a
     non-empty include list keeps only matching cells.  Returns the
     runnable specs plus every skipped cell with its reason.
     """

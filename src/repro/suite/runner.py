@@ -55,9 +55,9 @@ class SuiteConfig:
 class SuiteRunner:
     """Expands nothing, filters nothing — just runs scenario cells.
 
-    Fitted defenses are cached per (workload, defense, fit-attack,
-    backend) so a grid that sweeps attacks or corruptions over one
-    defense fits it once, exactly like the Workbench caches detectors.
+    Fitted defenses are cached per (workload, defense, fit-attack) so a
+    grid that sweeps attacks or corruptions over one defense fits it
+    once, exactly like the Workbench caches detectors.
     """
 
     def __init__(self, config: Optional[SuiteConfig] = None):
@@ -78,14 +78,12 @@ class SuiteRunner:
     def fitted_defense(self, spec: ScenarioSpec) -> FittedDefense:
         adapter = DEFENSES[spec.defense]
         fit_attack = self.fit_attack_for(spec)
-        key = (spec.workload, spec.defense, fit_attack, spec.backend)
+        key = (spec.workload, spec.defense, fit_attack)
         if not adapter.cacheable:
-            return adapter.build(
-                self.workbench(spec.workload), fit_attack, spec.backend
-            )
+            return adapter.build(self.workbench(spec.workload), fit_attack)
         if key not in self._fitted:
             self._fitted[key] = adapter.build(
-                self.workbench(spec.workload), fit_attack, spec.backend
+                self.workbench(spec.workload), fit_attack
             )
         return self._fitted[key]
 
@@ -198,7 +196,7 @@ class SuiteRunner:
             "scores_digest": scores_digest(
                 np.ascontiguousarray(scores, dtype=np.float64).tobytes()
             ),
-            "environment": environment_info(spec.backend),
+            "environment": environment_info(),
         }
         errors = validate_report(report)
         if errors:
@@ -251,8 +249,7 @@ class SuiteRunner:
         fitted = self.fitted_defense(spec)
         inputs, _, _ = self.eval_arrays(spec)
         engine = DetectionEngine(
-            fitted.detector, batch_size=self.config.batch_size,
-            backend=spec.backend,
+            fitted.detector, batch_size=self.config.batch_size
         )
         direct = engine.run(inputs).scores
         direct_digest = scores_digest(
@@ -273,7 +270,6 @@ class SuiteRunner:
         scheduler: str = "round-robin",
         transport: str = "shm",
         pin_workers: bool = False,
-        backend: Optional[str] = None,
     ) -> str:
         """Prove the sharded service scores a cell bit-identically to a
         direct in-process engine run (``repro suite --service``).
@@ -295,12 +291,10 @@ class SuiteRunner:
                 f"identity is defined against DetectionEngine scenarios "
                 f"only"
             )
-        kernel_backend = spec.backend if backend is None else backend
         fitted = self.fitted_defense(spec)
         inputs, _, _ = self.eval_arrays(spec)
         engine = DetectionEngine(
-            fitted.detector, batch_size=self.config.batch_size,
-            backend=kernel_backend,
+            fitted.detector, batch_size=self.config.batch_size
         )
         direct = engine.run(inputs).scores
         workbench = self.workbench(spec.workload)
@@ -312,7 +306,6 @@ class SuiteRunner:
             scheduler=scheduler,
             transport=transport,
             pin_workers=pin_workers,
-            backend=kernel_backend,
         ) as service:
             served = service.run(inputs).scores
         direct_digest = scores_digest(

@@ -1,7 +1,7 @@
 """The versioned ``ScenarioReport`` JSON schema.
 
 Every scenario the suite runs — any {attack x defense x corruption x
-workload x backend} cell — is normalized into one report shape so CI
+workload} cell — is normalized into one report shape so CI
 can diff, gate, and aggregate them uniformly (the HYMET bench-harness
 pattern: many runners, one profile format).  The schema is deliberately
 plain JSON with stdlib-only validation, because the same checks run in
@@ -76,8 +76,9 @@ def scores_digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def environment_info(backend: str) -> Dict[str, str]:
-    """The environment section: enough to explain a digest mismatch."""
+def environment_info() -> Dict[str, str]:
+    """The environment section: enough to explain a digest mismatch.
+    ``backend`` is always ``"numpy"``, the one kernel path."""
     try:
         import numpy
 
@@ -88,7 +89,7 @@ def environment_info(backend: str) -> Dict[str, str]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "numpy": numpy_version,
-        "backend": backend,
+        "backend": "numpy",
     }
 
 

@@ -6,9 +6,8 @@ own contract needs pinning: every rule must accept its clean fixture
 and reject its seeded violation, ``# repro: noqa[RPRnnn]`` must
 suppress exactly the named rule, the committed baseline must
 round-trip, and the tree itself must stay analyzer-clean.  The last
-classes pin the three behaviour-preserving runtime fixes the first
-analyzer run surfaced (transport probe unlink, narrowed release
-except, ISS micro-ops through the backend registry).
+classes pin the behaviour-preserving runtime fixes the first analyzer
+run surfaced (transport probe unlink, narrowed release except).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.analysis import all_checkers, analyze_source
@@ -259,26 +257,3 @@ class TestRuntimeFixes:
         # ...but a genuine programming error now propagates.
         with pytest.raises(RuntimeError):
             svc._release_slot(shard, 0)
-
-    def test_batch_kernel_unit_routes_through_backend(self):
-        # RPR201 fix: the ISS batch unit takes a KernelBackend and an
-        # explicit backend instance reproduces the default bit-exactly.
-        from repro.compiler.codegen import compile_batch_containment
-        from repro.core.backends import get_backend
-        from repro.isa.machine import BatchKernelUnit
-
-        rng = np.random.default_rng(7)
-        acts = rng.integers(0, 2**64, size=(9, 5), dtype=np.uint64)
-        canary = rng.integers(0, 2**64, size=(1, 5), dtype=np.uint64)
-        schedule = compile_batch_containment(
-            n_rows=9, n_words=5, tile_rows=4
-        )
-
-        default_unit = BatchKernelUnit()
-        explicit_unit = BatchKernelUnit(kernels=get_backend("numpy"))
-        assert default_unit.kernels.name == "numpy"
-
-        base = default_unit.run_containment(schedule, acts, canary)
-        same = explicit_unit.run_containment(schedule, acts, canary)
-        np.testing.assert_array_equal(base, same)
-        assert default_unit.trace == explicit_unit.trace

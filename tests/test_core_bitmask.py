@@ -4,7 +4,7 @@ against looped scalar Bitmask operations."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmask import (
@@ -184,16 +184,38 @@ class TestBatchKernels:
             reduced, Bitmask.from_bool(flags.any(axis=0)).words
         )
 
+    # Explicit examples: odd bit lengths (tail mask active) and an exact
+    # word boundary, at batch sizes 1, 7 and 1000.
+    @pytest.mark.parametrize("rows", ["random", "empty_and_ones"])
     @given(bool_matrices)
+    @example((1, 37, 1))
+    @example((7, 777, 2))
+    @example((1000, 128, 3))
     @settings(max_examples=40, deadline=None)
-    def test_similarity_kernels(self, shape):
+    def test_similarity_kernels(self, rows, shape):
         n, length, seed = shape
         rng = np.random.default_rng(seed)
         a = rng.random((n, length)) < 0.4
+        if rows == "empty_and_ones":
+            a[0] = False
+            a[-1] = True
         b = rng.random(length) < 0.5
         wa, wb = pack_bool_matrix(a), pack_bool_matrix(b[None])[0]
         inter = (a & b).sum(axis=1)
         assert np.array_equal(batch_and_popcount(wa, wb), inter)
+        # per-tap hits of the score path: segment popcount of the AND
+        # against the canary, with a zero-length middle segment
+        half = wa.shape[1] // 2
+        offsets = np.array([0, half, half], dtype=np.intp)
+        bounds = [(0, half), (half, half), (half, wa.shape[1])]
+        expected_hits = np.stack(
+            [(a & b)[:, w0 * WORD_BITS:w1 * WORD_BITS].sum(axis=1)
+             for w0, w1 in bounds],
+            axis=1,
+        )
+        assert np.array_equal(
+            segment_popcount(wa & wb, offsets), expected_hits
+        )
         masks_a = [Bitmask.from_bool(row) for row in a]
         mask_b = Bitmask.from_bool(b)
         containment = batch_containment(wa, wb)

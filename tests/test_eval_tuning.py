@@ -52,6 +52,8 @@ class TestTuneKnobs:
             tune_knobs(wb, latency_budget=0.5)
         with pytest.raises(ValueError):
             tune_knobs(wb, energy_budget=0.0)
+        with pytest.raises(ValueError):
+            tune_knobs(wb, latency_budget=float("nan"))
 
     def test_unbounded_budget_picks_most_accurate(self, wb, points):
         result = tune_knobs(wb, grid=SMALL_GRID, attacks=("bim",))

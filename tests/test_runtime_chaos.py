@@ -454,9 +454,12 @@ class TestSelfHealing:
             assert np.array_equal(
                 result.similarities, reference.similarities
             )
+            # a live replacement process reports ready a moment later,
+            # so wait for its spawn-to-ready record as well
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline and (
                 service.restarts < 1 or service.alive_workers < 2
+                or len(service.fault_stats()["spawn_to_ready_seconds"]) < 3
             ):
                 time.sleep(0.05)
             assert service.restarts >= 1

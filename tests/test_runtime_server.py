@@ -263,16 +263,15 @@ class TestProtocol:
         stats = get_json(stub_server.url, "/v1/stats")
         assert set(stats) == {
             "service", "server", "adaptive", "alive_workers", "restarts",
-            "backend_requested", "kernel_backends",
+            "kernel_backends",
             "default_model", "models", "classes", "adaptive_classes",
         }
         assert stats["server"]["requests_total"] == 1
         assert stats["server"]["max_inflight"] == 1
         assert stats["adaptive"] is None
         assert "samples_per_sec" in stats["service"]
-        # the stub service predates the backend surface: the payload
-        # must still render, with honest "don't know" values
-        assert stats["backend_requested"] is None
+        # the stub service has no shard_backends(): the payload must
+        # still render, with an honest "don't know" value
         assert stats["kernel_backends"] == {}
 
     def test_draining_refuses_new_work(self, stub, stub_server):

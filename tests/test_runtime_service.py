@@ -170,50 +170,6 @@ class TestShardedDetectionService:
             # round-robin really spread the chunks over both shards
             assert set(result.chunk_shards) == {0, 1}
 
-    def test_backend_broadcasts_to_workers_and_reports(
-        self, service_detector, engine_reference
-    ):
-        """A service-level backend choice reaches every worker's engine
-        and is reported back per shard — with scores bit-identical to
-        the default-numpy single-process reference."""
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=2,
-            batch_size=4,
-            backend="tiled",
-        ) as service:
-            result = service.run(xs)
-            backends = service.shard_backends()
-            stats = service.transport_stats()
-        assert np.array_equal(result.scores, reference.scores)
-        assert backends == {0: "tiled", 1: "tiled"}
-        assert stats["backend_requested"] == "tiled"
-        assert stats["kernel_backends"] == backends
-
-    def test_numba_backend_degrades_in_workers_where_absent(
-        self, service_detector, engine_reference
-    ):
-        """Requesting numba must serve (bit-identically) everywhere;
-        workers without the JIT report the numpy fallback they actually
-        compute on."""
-        from repro.core.backends import numba_available
-
-        xs, reference = engine_reference
-        with ShardedDetectionService(
-            service_detector,
-            model_factory=_build_service_model,
-            num_workers=1,
-            batch_size=4,
-            backend="numba",
-        ) as service:
-            result = service.run(xs)
-            backends = service.shard_backends()
-        assert np.array_equal(result.scores, reference.scores)
-        expected = "numba" if numba_available() else "numpy"
-        assert backends == {0: expected}
-
     def test_stats_merge_across_shards(
         self, service_detector, engine_reference
     ):

@@ -1,5 +1,8 @@
 """Serialization tests: class paths, configs, detectors."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.attacks import BIM
@@ -62,8 +65,6 @@ class TestConfigIO:
             assert a.extract == b.extract
 
     def test_json_safe(self, tmp_path):
-        import json
-
         config = ExtractionConfig.hybrid(5, theta=0.5, phi=0.2)
         text = json.dumps(config_to_dict(config))
         assert config_from_dict(json.loads(text)).num_layers == 5
@@ -78,6 +79,22 @@ class TestDetectorIO:
             x = small_dataset.x_test[i : i + 1]
             assert restored.score(x) == pytest.approx(detector.score(x),
                                                       abs=1e-12)
+
+    def test_legacy_backend_key_is_ignored(self, detector, trained_alexnet,
+                                           small_dataset, tmp_path):
+        # detectors saved while kernel backends were selectable carry a
+        # "backend" key in their config; it no longer selects anything
+        save_detector(detector, tmp_path / "legacy")
+        meta_path = tmp_path / "legacy" / "detector.json"
+        meta = json.loads(meta_path.read_text())
+        assert "backend" not in meta["config"]
+        meta["config"]["backend"] = "tiled"
+        meta_path.write_text(json.dumps(meta))
+        restored = load_detector(trained_alexnet, tmp_path / "legacy")
+        xs = small_dataset.x_test[:16]
+        assert np.array_equal(
+            restored.scores_batch(xs), detector.scores_batch(xs)
+        )
 
     def test_unprofiled_detector_rejected(self, trained_alexnet, tmp_path):
         det = PtolemyDetector(trained_alexnet, ExtractionConfig.bwcu(8))

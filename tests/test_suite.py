@@ -43,6 +43,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="unknown grid axis"):
             parse_grid(["attacks=bim"])
 
+    def test_cli_rejects_backend_axis(self, tmp_path):
+        # one numpy kernel path is left, so backend= selects nothing
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="unknown grid axis 'backend'"):
+            main(["suite", "--grid", "backend=numpy",
+                  "--output", str(tmp_path)])
+
     def test_parse_rejects_malformed_token(self):
         with pytest.raises(ValueError, match="axis=v1,v2"):
             parse_grid(["bim,fgsm"])
@@ -53,7 +61,6 @@ class TestGrid:
             "attack": ("bim", "fgsm"),
             "defense": ("ptolemy_fwab", "ep"),
             "corruption": ("none",),
-            "backend": ("numpy",),
         })
         assert len(specs) == 4
         assert not skipped
@@ -75,21 +82,9 @@ class TestGrid:
             "attack": ("fault_bitflip",),
             "defense": ("cdrp", "ptolemy_fwab"),
             "corruption": ("none",),
-            "backend": ("numpy",),
         })
         assert [s.defense for s in specs] == ["ptolemy_fwab"]
         assert len(skipped) == 1 and "path-based" in skipped[0].reason
-
-    def test_non_numpy_backend_skipped_for_non_engine_defense(self):
-        specs, skipped = expand_grid({
-            "workload": ("alexnet_imagenet",),
-            "attack": ("bim",),
-            "defense": ("sap",),
-            "corruption": ("none",),
-            "backend": ("tiled",),
-        })
-        assert not specs
-        assert "engine-scored" in skipped[0].reason
 
     def test_bad_corruption_severity_skipped(self):
         specs, skipped = expand_grid({
@@ -97,7 +92,6 @@ class TestGrid:
             "attack": ("bim",),
             "defense": ("ptolemy_fwab",),
             "corruption": ("gaussian_noise@9", "nonsense@2"),
-            "backend": ("numpy",),
         })
         assert not specs
         reasons = " | ".join(s.reason for s in skipped)
