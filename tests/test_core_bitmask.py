@@ -4,7 +4,7 @@ against looped scalar Bitmask operations."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmask import (
@@ -153,6 +153,75 @@ bool_matrices = st.tuples(
 )
 
 
+def _segment_layouts(n_words):
+    """Tap offsets in both segment_popcount paths: strictly increasing
+    (reduceat) and with a zero-length middle segment (prefix sums)."""
+    half = n_words // 2
+    return (np.arange(0, n_words, 2, dtype=np.intp),
+            np.array([0, half, half], dtype=np.intp))
+
+
+def _segment_reference(flags, offsets, n_words):
+    ends = list(offsets[1:]) + [n_words]
+    return np.stack(
+        [flags[:, w0 * WORD_BITS:w1 * WORD_BITS].sum(axis=1)
+         for w0, w1 in zip(offsets, ends)],
+        axis=1,
+    )
+
+
+def _ratio(num, den, empty):
+    return np.array([h / d if d else empty for h, d in zip(num, den)])
+
+
+def _segments_case(flags, words):
+    n_words = words.shape[1]
+    got, expected = [], []
+    for offsets in _segment_layouts(n_words):
+        got.append(segment_popcount(words, offsets))
+        expected.append(_segment_reference(flags, offsets, n_words))
+    return got, expected
+
+
+#: Each batch kernel against the boolean-array reference: a case maps
+#: ``(a, b, packed a, packed b)`` to parallel lists of results and
+#: expected values.
+KERNEL_CASES = {
+    "or": lambda a, b, wa, wb: (
+        [batch_or(wa)], [pack_bool_matrix(a.any(axis=0)[None])[0]]
+    ),
+    "popcount": lambda a, b, wa, wb: (
+        [batch_popcount(wa)], [a.sum(axis=1)]
+    ),
+    "and_popcount": lambda a, b, wa, wb: (
+        [batch_and_popcount(wa, wb)], [(a & b).sum(axis=1)]
+    ),
+    "containment": lambda a, b, wa, wb: (
+        [batch_containment(wa, wb)],
+        [_ratio((a & b).sum(axis=1), a.sum(axis=1), 0.0)],
+    ),
+    "jaccard": lambda a, b, wa, wb: (
+        [batch_jaccard(wa, wb)],
+        [_ratio((a & b).sum(axis=1), (a | b).sum(axis=1), 1.0)],
+    ),
+    "segment_popcount": lambda a, b, wa, wb: _segments_case(a, wa),
+    # per-tap hits of the score path: segment popcount of the AND
+    # against the canary
+    "segment_and_popcount": lambda a, b, wa, wb: _segments_case(
+        a & b, wa & wb
+    ),
+}
+
+#: ``(rows, n, bits)``: odd bit lengths (tail mask active), an exact
+#: word boundary and batch sizes 1, 7, 64 and 1000, plus a batch with
+#: empty and all-ones rows.
+KERNEL_SHAPES = [
+    ("random", n, bits)
+    for bits in (37, 128, 777)
+    for n in (1, 7, 64, 1000)
+] + [("empty_and_ones", 8, 130)]
+
+
 class TestBatchKernels:
     """Batch kernels must equal looping the scalar Bitmask ops."""
 
@@ -184,13 +253,8 @@ class TestBatchKernels:
             reduced, Bitmask.from_bool(flags.any(axis=0)).words
         )
 
-    # Explicit examples: odd bit lengths (tail mask active) and an exact
-    # word boundary, at batch sizes 1, 7 and 1000.
     @pytest.mark.parametrize("rows", ["random", "empty_and_ones"])
     @given(bool_matrices)
-    @example((1, 37, 1))
-    @example((7, 777, 2))
-    @example((1000, 128, 3))
     @settings(max_examples=40, deadline=None)
     def test_similarity_kernels(self, rows, shape):
         n, length, seed = shape
@@ -228,6 +292,27 @@ class TestBatchKernels:
             union = (mask | mask_b).popcount()
             expected_j = hits / union if union else 1.0
             assert jaccard[i] == expected_j
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES,
+                             ids=lambda shape: "{}-{}x{}".format(*shape))
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
+    def test_kernel_matches_boolean_reference(self, kernel, shape):
+        rows, n, bits = shape
+        rng = np.random.default_rng(n * 10_000 + bits)
+        a = rng.random((n, bits)) < 0.3
+        if rows == "empty_and_ones":
+            a[:2] = False
+            a[2:4] = True
+        wa = pack_bool_matrix(a)
+        # the canary as one broadcast row and as a per-row matrix
+        for b in (rng.random((1, bits)) < 0.4, rng.random((n, bits)) < 0.4):
+            got, expected = KERNEL_CASES[kernel](a, b, wa,
+                                                 pack_bool_matrix(b))
+            for g, e in zip(got, expected):
+                # exact, not to a tolerance: the float scores are the
+                # same int counts followed by the same IEEE division
+                assert g.shape == e.shape
+                assert np.array_equal(g, e)
 
     def test_segment_popcount(self):
         rng = np.random.default_rng(0)

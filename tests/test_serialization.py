@@ -80,15 +80,17 @@ class TestDetectorIO:
             assert restored.score(x) == pytest.approx(detector.score(x),
                                                       abs=1e-12)
 
-    def test_legacy_backend_key_is_ignored(self, detector, trained_alexnet,
-                                           small_dataset, tmp_path):
+    @pytest.mark.parametrize("legacy", ["tiled", "numba", None])
+    def test_legacy_backend_key_is_ignored(self, legacy, detector,
+                                           trained_alexnet, small_dataset,
+                                           tmp_path):
         # detectors saved while kernel backends were selectable carry a
         # "backend" key in their config; it no longer selects anything
         save_detector(detector, tmp_path / "legacy")
         meta_path = tmp_path / "legacy" / "detector.json"
         meta = json.loads(meta_path.read_text())
         assert "backend" not in meta["config"]
-        meta["config"]["backend"] = "tiled"
+        meta["config"]["backend"] = legacy
         meta_path.write_text(json.dumps(meta))
         restored = load_detector(trained_alexnet, tmp_path / "legacy")
         xs = small_dataset.x_test[:16]
