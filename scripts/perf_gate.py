@@ -11,6 +11,12 @@ is gated the same way — it is hardware-independent, so it also
 protects the gate on CI machines slower than the one that recorded
 the baseline.
 
+The paper's headline variant, BwCu, runs through the same engine
+harness at batch 1 and 64 in the same run: its scores must be
+bit-identical across the two, and its batch-64 samples/sec over FwAb's
+must hold :data:`BWCU_RATIO_FLOOR`.  Both sides share the host, so this
+ratio is gated on ``--ratio-only`` runners too.
+
 The sharded service gets the same treatment: 1- and 2-worker
 wall-clock samples/sec are gated absolutely against the baseline, and
 the 2-over-1 scaling ratio is gated against the constant
@@ -124,6 +130,28 @@ SUITE_GATE_GRID = (
 )
 #: Metrics gated per suite scenario (absolute floors).
 SUITE_GATED_METRICS = ("auc", "tpr_at_fpr")
+#: Batch sizes of the BwCu engine measurement: 64 is gated, 1 is the
+#: cross-batch score check.
+BWCU_BATCH_SIZES = (1, 64)
+#: BwCu over FwAb engine samples/s at batch 64, enforced everywhere
+#: (both sides share the host, so the ratio is hardware-independent).
+#: On a 2-vCPU host the batched backward walk measured 0.32-0.33x and
+#: the per-sample walk it replaced 0.017-0.025x; the floor sits below
+#: half the former and above three times the latter.
+BWCU_RATIO_FLOOR = 0.10
+#: Repeats behind each ratio gate that reads one measurement (IPC
+#: round-trip, end-to-end shm/queue, adaptive/fixed): the gate reads
+#: the median, so one noisy run cannot pass or fail the build.
+RATIO_REPEATS = 3
+
+
+def median_run(runs: list, ratio) -> dict:
+    """The run whose ``ratio(run)`` is the median (odd run count)."""
+    return sorted(runs, key=ratio)[len(runs) // 2]
+
+
+def format_repeats(values) -> str:
+    return ", ".join(f"{value:.2f}x" for value in values)
 
 
 def run_bench() -> dict:
@@ -155,6 +183,31 @@ def run_bench() -> dict:
         results[64]["samples_per_sec"] / results[1]["samples_per_sec"]
     )
     return report
+
+
+def run_bwcu_bench() -> dict:
+    """The paper's headline variant on the same engine harness; its
+    scores must not depend on the batch size either."""
+    import numpy as np
+
+    from bench_runtime_throughput import measure_throughput
+    from repro.eval import Workbench, workloads
+
+    workloads.shrink_for_smoke()
+    workbench = Workbench.get("alexnet_imagenet")
+    results = measure_throughput(
+        workbench, batch_sizes=BWCU_BATCH_SIZES, count=SMOKE_TRAFFIC,
+        variant="BwCu",
+    )
+    if not np.array_equal(results[64]["scores"], results[1]["scores"]):
+        raise SystemExit("FATAL: batch 64 changed BwCu detection scores")
+    return {
+        str(bs): {
+            "samples_per_sec": results[bs]["samples_per_sec"],
+            "mean_batch_latency_ms": results[bs]["mean_batch_latency_ms"],
+        }
+        for bs in BWCU_BATCH_SIZES
+    }
 
 
 def run_worker_bench() -> dict:
@@ -195,7 +248,11 @@ def run_worker_bench() -> dict:
     return report
 
 
-def run_transport_bench() -> dict:
+def run_transport_bench() -> tuple:
+    """Queue vs shm service throughput and the raw IPC round-trip, each
+    repeated :data:`RATIO_REPEATS` times.  Returns the report (ratios
+    are medians; absolute samples/s the best repeat per channel) and the
+    per-repeat ratios."""
     import numpy as np
 
     from bench_runtime_scaling import measure_transport_comparison
@@ -204,36 +261,53 @@ def run_transport_bench() -> dict:
 
     workloads.shrink_for_smoke()
     workbench = Workbench.get("alexnet_imagenet")
-    comparison = measure_transport_comparison(
-        workbench,
-        TRANSPORT_WORKERS,
-        count=WORKER_TRAFFIC,
-        batch_size=WORKER_BATCH,
-        repeats=3,  # best-of-3: shared runners are noisy
-    )
-    # the transport moves bytes, never decisions
-    if comparison["shm"] is not None and not np.array_equal(
-        comparison["shm"]["scores"], comparison["queue"]["scores"]
-    ):
-        raise SystemExit(
-            "FATAL: shm transport changed detection scores vs the queue"
+    comparisons = []
+    for _ in range(RATIO_REPEATS):
+        comparison = measure_transport_comparison(
+            workbench,
+            TRANSPORT_WORKERS,
+            count=WORKER_TRAFFIC,
+            batch_size=WORKER_BATCH,
+            repeats=1,
         )
+        # the transport moves bytes, never decisions
+        if comparison["shm"] is not None and not np.array_equal(
+            comparison["shm"]["scores"], comparison["queue"]["scores"]
+        ):
+            raise SystemExit(
+                "FATAL: shm transport changed detection scores vs the queue"
+            )
+        comparisons.append(comparison)
+    ratios = [c["shm_over_queue"] for c in comparisons]
     report = {
         "cpu_count": os.cpu_count() or 1,
         "shm_available": shm_available(),
-        "shm_over_queue": comparison["shm_over_queue"],
+        "shm_over_queue": (
+            None if ratios[0] is None else float(np.median(ratios))
+        ),
     }
     for transport in ("queue", "shm"):
-        row = comparison[transport]
-        if row is not None:
+        rows = [c[transport] for c in comparisons if c[transport] is not None]
+        if rows:
+            best = max(rows, key=lambda row: row["samples_per_sec"])
             report[transport] = {
-                "samples_per_sec": row["samples_per_sec"],
-                "mean_batch_latency_ms": row["mean_batch_latency_ms"],
+                "samples_per_sec": best["samples_per_sec"],
+                "mean_batch_latency_ms": best["mean_batch_latency_ms"],
             }
-    report["ipc"] = measure_ipc(
-        payload_shape=(WORKER_BATCH, 3, 16, 16), batches=64
-    )
-    return report
+    ipc_runs = [
+        measure_ipc(payload_shape=(WORKER_BATCH, 3, 16, 16), batches=64)
+        for _ in range(RATIO_REPEATS)
+    ]
+
+    def ipc_speedup(run):
+        return run.get("shm_speedup", 0.0)
+
+    report["ipc"] = median_run(ipc_runs, ipc_speedup)
+    repeats = {
+        "shm_over_queue": ratios,
+        "ipc_speedup": [ipc_speedup(run) for run in ipc_runs],
+    }
+    return report, repeats
 
 
 def run_kernel_bench() -> dict:
@@ -249,17 +323,24 @@ def run_kernel_bench() -> dict:
     return report
 
 
-def run_http_bench() -> dict:
+def run_http_bench() -> tuple:
+    """Fixed vs adaptive closed-loop serving, :data:`RATIO_REPEATS`
+    times.  Returns the median-ratio run's report and every repeat's
+    adaptive/fixed ratio."""
     from bench_http_serving import check_bit_identity, measure_http_serving
     from repro.eval import Workbench, workloads
 
     workloads.shrink_for_smoke()
     workbench = Workbench.get("alexnet_imagenet")
-    results = measure_http_serving(workbench, count=HTTP_TRAFFIC)
-    try:
-        check_bit_identity(results)
-    except RuntimeError as exc:
-        raise SystemExit(f"FATAL: {exc}") from exc
+    runs = []
+    for _ in range(RATIO_REPEATS):
+        results = measure_http_serving(workbench, count=HTTP_TRAFFIC)
+        try:
+            check_bit_identity(results)
+        except RuntimeError as exc:
+            raise SystemExit(f"FATAL: {exc}") from exc
+        runs.append(results)
+    results = median_run(runs, lambda run: run["adaptive_over_fixed"])
     report = {
         mode: {
             "samples_per_sec": results[mode]["samples_per_sec"],
@@ -272,7 +353,7 @@ def run_http_bench() -> dict:
     }
     report["slo_ms"] = results["slo_ms"]
     report["adaptive_over_fixed"] = results["adaptive_over_fixed"]
-    return report
+    return report, [run["adaptive_over_fixed"] for run in runs]
 
 
 def run_suite_bench() -> dict:
@@ -350,6 +431,19 @@ def main(argv=None) -> int:
     print(f"  batch-64 speedup over batch-1: "
           f"{current['speedup_64_over_1']:.2f}x")
 
+    print(f"perf gate: measuring the BwCu engine ({SMOKE_TRAFFIC} samples, "
+          f"batch sizes {BWCU_BATCH_SIZES})...")
+    current_bwcu = run_bwcu_bench()
+    for batch_size in BWCU_BATCH_SIZES:
+        row = current_bwcu[str(batch_size)]
+        print(f"  batch {batch_size:3d}: {row['samples_per_sec']:9.1f} "
+              f"samples/s, {row['mean_batch_latency_ms']:.2f} ms/batch")
+    bwcu_ratio = (
+        current_bwcu["64"]["samples_per_sec"]
+        / current["64"]["samples_per_sec"]
+    )
+    print(f"  BwCu/FwAb samples/s at batch 64: {bwcu_ratio:.3f}x")
+
     print(f"perf gate: measuring sharded-service scaling "
           f"({WORKER_TRAFFIC} samples, batch {WORKER_BATCH}, workers "
           f"{GATED_WORKER_COUNTS})...")
@@ -365,7 +459,7 @@ def main(argv=None) -> int:
     print(f"perf gate: measuring transport comparison "
           f"({WORKER_TRAFFIC} samples, {TRANSPORT_WORKERS} workers, "
           f"queue vs shm)...")
-    current_transport = run_transport_bench()
+    current_transport, transport_repeats = run_transport_bench()
     for channel in ("queue", "shm"):
         if channel in current_transport:
             row = current_transport[channel]
@@ -374,9 +468,10 @@ def main(argv=None) -> int:
     if current_transport["shm_over_queue"] is not None:
         ipc = current_transport["ipc"]
         print(f"  shm over queue: "
-              f"{current_transport['shm_over_queue']:.2f}x; raw IPC "
-              f"round-trip {ipc['queue']['per_batch_ms']:.3f} ms (queue) "
-              f"vs {ipc['shm']['per_batch_ms']:.3f} ms (shm)")
+              f"{current_transport['shm_over_queue']:.2f}x (median of "
+              f"{format_repeats(transport_repeats['shm_over_queue'])}); "
+              f"raw IPC round-trip {ipc['queue']['per_batch_ms']:.3f} ms "
+              f"(queue) vs {ipc['shm']['per_batch_ms']:.3f} ms (shm)")
     else:
         print("  shared memory unavailable: queue-only measurement")
 
@@ -390,14 +485,15 @@ def main(argv=None) -> int:
 
     print(f"perf gate: measuring HTTP closed-loop serving "
           f"({HTTP_TRAFFIC} samples, fixed vs adaptive)...")
-    current_http = run_http_bench()
+    current_http, http_repeats = run_http_bench()
     for mode in ("fixed", "adaptive"):
         row = current_http[mode]
         print(f"  {mode:8s}: {row['samples_per_sec']:9.1f} samples/s, "
               f"request p95 {row['request_p95_ms']:.1f} ms, "
               f"batch p95 {row['p95_batch_ms']:.2f} ms")
     print(f"  adaptive/fixed: {current_http['adaptive_over_fixed']:.2f}x "
-          f"(SLO {current_http['slo_ms']:.1f} ms/batch)")
+          f"(median of {format_repeats(http_repeats)}; "
+          f"SLO {current_http['slo_ms']:.1f} ms/batch)")
 
     print(f"perf gate: measuring scenario-suite smoke grid "
           f"({' '.join(SUITE_GATE_GRID)})...")
@@ -452,6 +548,15 @@ def main(argv=None) -> int:
     if new_ratio < ratio_floor:
         failures.append(
             f"batch-64 speedup {new_ratio:.2f}x < floor {ratio_floor:.2f}x"
+        )
+    # hardware-independent, so enforced on --ratio-only runners too
+    status = "ok" if bwcu_ratio >= BWCU_RATIO_FLOOR else "REGRESSION"
+    print(f"  BwCu/FwAb samples/s: {bwcu_ratio:.3f}x vs floor "
+          f"{BWCU_RATIO_FLOOR:.3f}x {status}")
+    if bwcu_ratio < BWCU_RATIO_FLOOR:
+        failures.append(
+            f"BwCu/FwAb samples/s {bwcu_ratio:.3f}x < floor "
+            f"{BWCU_RATIO_FLOOR:.3f}x"
         )
 
     # -- sharded-service envelope ---------------------------------------
@@ -535,8 +640,9 @@ def main(argv=None) -> int:
         ipc_speedup = current_transport["ipc"].get("shm_speedup", 0.0)
         status = ("ok" if ipc_speedup >= TRANSPORT_SPEEDUP_FLOOR
                   else "REGRESSION")
-        print(f"  IPC round-trip shm over queue: {ipc_speedup:.2f}x vs "
-              f"envelope floor {TRANSPORT_SPEEDUP_FLOOR:.2f}x {status}")
+        print(f"  IPC round-trip shm over queue: {ipc_speedup:.2f}x "
+              f"(median of {format_repeats(transport_repeats['ipc_speedup'])})"
+              f" vs envelope floor {TRANSPORT_SPEEDUP_FLOOR:.2f}x {status}")
         if ipc_speedup < TRANSPORT_SPEEDUP_FLOOR:
             failures.append(
                 f"shm IPC round-trip {ipc_speedup:.2f}x over queue < "
@@ -548,8 +654,10 @@ def main(argv=None) -> int:
         else:
             status = ("ok" if parity >= TRANSPORT_PARITY_FLOOR
                       else "REGRESSION")
-            print(f"  end-to-end shm over queue: {parity:.2f}x vs parity "
-                  f"floor {TRANSPORT_PARITY_FLOOR:.2f}x {status}")
+            repeats = format_repeats(transport_repeats["shm_over_queue"])
+            print(f"  end-to-end shm over queue: {parity:.2f}x (median of "
+                  f"{repeats}) vs parity floor "
+                  f"{TRANSPORT_PARITY_FLOOR:.2f}x {status}")
             if parity < TRANSPORT_PARITY_FLOOR:
                 failures.append(
                     f"shm transport {parity:.2f}x of queue throughput < "
@@ -630,7 +738,8 @@ def main(argv=None) -> int:
         )
     ratio = current_http["adaptive_over_fixed"]
     status = "ok" if ratio >= ADAPTIVE_THROUGHPUT_FLOOR else "REGRESSION"
-    print(f"  adaptive/fixed throughput: {ratio:.2f}x vs floor "
+    print(f"  adaptive/fixed throughput: {ratio:.2f}x (median of "
+          f"{format_repeats(http_repeats)}) vs floor "
           f"{ADAPTIVE_THROUGHPUT_FLOOR:.2f}x {status}")
     if ratio < ADAPTIVE_THROUGHPUT_FLOOR:
         failures.append(

@@ -10,10 +10,16 @@ Forward extraction instead selects important neurons per layer from
 the layer's own output values the moment the layer finishes, which is
 what lets the hardware overlap extraction with inference (Sec. III-C).
 
-The extractor operates on a single input (batch of one) and returns
-both the :class:`~repro.core.path.ActivationPath` and an
-:class:`~repro.core.trace.ExtractionTrace` of operation counts for the
-hardware model.
+:meth:`PathExtractor.extract_batch` extracts a whole batch at once.
+Backward, importance is one ``(N, size)`` boolean matrix per node: an
+extraction unit gathers the partial sums of every important
+``(sample, neuron)`` pair into equal-length row blocks, one per
+receptive-field shape, and selects row-wise; transparent layers
+re-index whole matrices.  :meth:`PathExtractor.extract` walks a batch of
+one.  Forward, selection runs as matrix kernels over the stacked
+feature maps.  Results carry the paths (packed per batch) and, per
+sample, an :class:`~repro.core.trace.ExtractionTrace` of operation
+counts for the hardware model.
 """
 
 from __future__ import annotations
@@ -51,10 +57,10 @@ class ExtractionResult:
 class BatchExtractionResult:
     """Output of one batched extraction: N paths in packed-word form.
 
-    ``traces`` is populated for the backward direction (whose engine
-    walks samples individually anyway) and for forward extraction only
-    on request — the vectorized forward engine never materialises
-    per-sample operation counts unless asked.
+    ``traces`` is always populated for the backward direction (the walk
+    counts its operations per sample as it goes) and for forward
+    extraction only on request — the vectorized forward engine never
+    materialises per-sample operation counts unless asked.
     """
 
     packed: PackedPathBatch
@@ -196,10 +202,12 @@ class PathExtractor:
             self._layout = self._build_layout()
         predicted = int(logits[0].argmax())
         if self.config.direction is Direction.BACKWARD:
-            masks, trace = self._extract_backward(predicted)
+            taps, traces = self._extract_backward(np.array([predicted]))
+            packed = PackedPathBatch.from_tap_bools(self._layout, taps)
+            path, trace = packed.to_paths()[0], traces[0]
         else:
             masks, trace = self._extract_forward()
-        path = ActivationPath(self._layout, masks)
+            path = ActivationPath(self._layout, masks)
         return ExtractionResult(path, predicted, trace, logits[0].copy())
 
     def extract_batch(
@@ -210,13 +218,16 @@ class PathExtractor:
     ) -> BatchExtractionResult:
         """Extract the activation paths of a whole batch at once.
 
-        One batched inference feeds all samples; forward-direction
-        selection then runs as matrix kernels over the stacked feature
-        maps, while backward extraction walks each sample's cached
-        per-sample state (partial sums, pooling argmaxes).  Results are
-        bit-identical to calling :meth:`extract` per sample — the model
-        forward is batch-invariant and every selection step reuses the
-        scalar path's exact operation order.
+        One batched inference feeds all samples.  Forward selection
+        runs as matrix kernels over the stacked feature maps; backward
+        extraction walks the graph once for the whole batch, selecting
+        over row blocks of partial sums gathered from every sample's
+        cached state (inputs, pooling argmaxes).  Results are
+        bit-identical to calling :meth:`extract` per sample, and to the
+        per-neuron walk on the scalar layer protocol: the model forward
+        is batch-invariant, and every selection row holds the same
+        partial sums in the same order as the scalar path, so its sum
+        and stable sort are the scalar ones.
         """
         if x.ndim < 2:
             raise ValueError("extract_batch expects a batched input")
@@ -250,16 +261,9 @@ class PathExtractor:
         predicted = logits.argmax(axis=1).astype(np.int64)
         traces: Optional[List[ExtractionTrace]] = None
         if self.config.direction is Direction.BACKWARD:
-            paths: List[ActivationPath] = []
-            traces = []
-            for i in range(x.shape[0]):
-                masks, trace = self._extract_backward(
-                    int(predicted[i]), sample=i
-                )
-                paths.append(ActivationPath(self._layout, masks))
-                traces.append(trace)
-            # backward traces come for free (the walk builds them anyway)
-            packed = PackedPathBatch.from_paths(self._layout, paths)
+            # backward traces come for free (the walk counts them anyway)
+            taps, traces = self._extract_backward(predicted)
+            packed = PackedPathBatch.from_tap_bools(self._layout, taps)
         else:
             packed, traces = self._extract_forward_batch(
                 x.shape[0], collect_traces
@@ -319,95 +323,109 @@ class PathExtractor:
 
     # -- backward engine ---------------------------------------------------
     def _extract_backward(
-        self, predicted: int, sample: int = 0
-    ) -> Tuple[List[Bitmask], ExtractionTrace]:
-        trace = ExtractionTrace(Direction.BACKWARD)
-        importance: Dict[str, np.ndarray] = {
-            self.model.output_name: np.array([predicted], dtype=np.int64)
-        }
-        masks: Dict[int, Bitmask] = {}
+        self, predicted: np.ndarray
+    ) -> Tuple[List[np.ndarray], List[ExtractionTrace]]:
+        """Walk the cached forward batch back from each sample's
+        predicted class; returns one ``(N, in_size)`` boolean matrix per
+        extracted unit and one trace per sample.  Sample ``i`` is row
+        ``i`` of the cached batch (``N`` may be less than its size)."""
+        batch_size = predicted.size
+        traces = [ExtractionTrace(Direction.BACKWARD) for _ in range(batch_size)]
+        num_classes = self.model.activations[self.model.output_name].shape[1]
+        seed = np.zeros((batch_size, num_classes), dtype=bool)
+        seed[np.arange(batch_size), predicted] = True
+        importance: Dict[str, np.ndarray] = {self.model.output_name: seed}
+        taps: Dict[int, np.ndarray] = {}
         for node in reversed(self.model.nodes):
-            positions = importance.pop(node.name, None)
-            if positions is None or positions.size == 0:
+            flags = importance.pop(node.name, None)
+            if flags is None or not flags.any():
                 continue
             if node.name in self._unit_index:
                 unit_idx = self._unit_index[node.name]
                 spec = self.config.layers[unit_idx]
                 if not spec.extract:
                     continue  # early-termination: stop the walk here
-                in_positions, unit_trace = self._extract_unit_backward(
-                    node.module, unit_idx, node.name, positions, spec,
-                    sample=sample,
+                taps[unit_idx] = self._extract_unit_backward(
+                    node, unit_idx, flags, spec, traces
                 )
-                trace.units.append(unit_trace)
-                masks[unit_idx] = Bitmask.from_positions(
-                    node.module.input_feature_size, in_positions
-                )
-                self._merge(importance, node.inputs[0], in_positions)
+                self._merge(importance, node.inputs[0], taps[unit_idx])
             elif node.is_multi_input:
-                split = node.module.propagate_back_multi(positions, sample)
-                for input_name, pos in zip(node.inputs, split):
-                    self._merge(importance, input_name, pos)
+                split = node.module.propagate_back_multi_batch(flags)
+                for input_name, part in zip(node.inputs, split):
+                    self._merge(importance, input_name, part)
             else:
-                mapped = node.module.propagate_back(positions, sample)
+                mapped = node.module.propagate_back_batch(flags)
                 self._merge(importance, node.inputs[0], mapped)
-        trace.units.sort(key=lambda u: u.index)
-        ordered = [
-            masks.get(i, Bitmask(self.units[i].module.input_feature_size))
-            for i in self.config.extracted_indices()
-        ]
-        return ordered, trace
+        for trace in traces:
+            trace.units.sort(key=lambda u: u.index)
+        ordered = []
+        for i in self.config.extracted_indices():
+            if i not in taps:  # the walk never reached this unit
+                size = self.units[i].module.input_feature_size
+                taps[i] = np.zeros((batch_size, size), dtype=bool)
+            ordered.append(taps[i])
+        return ordered, traces
 
     @staticmethod
     def _merge(importance: Dict[str, np.ndarray], name: str,
-               positions: np.ndarray) -> None:
-        if name == INPUT or positions.size == 0:
+               flags: np.ndarray) -> None:
+        if name == INPUT:
             return
         existing = importance.get(name)
-        if existing is None:
-            importance[name] = np.unique(positions)
-        else:
-            importance[name] = np.union1d(existing, positions)
+        importance[name] = flags if existing is None else existing | flags
 
     def _extract_unit_backward(
         self,
-        module,
+        node,
         unit_idx: int,
-        name: str,
-        out_positions: np.ndarray,
+        out_flags: np.ndarray,
         spec: LayerSpec,
-        sample: int = 0,
-    ) -> Tuple[np.ndarray, UnitTrace]:
-        unit_trace = UnitTrace(
-            name=name,
-            index=unit_idx,
-            extracted=True,
-            mechanism=spec.mechanism,
-            in_size=module.input_feature_size,
-            out_size=module.output_feature_size,
-            rf_size=module.nominal_rf_size(),
-            mac_count=module.mac_count(),
-        )
-        collected: List[np.ndarray] = []
-        for out_pos in out_positions:
-            psums = module.partial_sums(int(out_pos), sample)
-            rf = module.receptive_field(int(out_pos))
-            unit_trace.n_out_processed += 1
-            if spec.mechanism is Thresholding.CUMULATIVE:
-                chosen = _select_cumulative(psums, spec.threshold)
-                unit_trace.n_psums_sorted += psums.size
+        traces: List[ExtractionTrace],
+    ) -> np.ndarray:
+        """Important inputs of one unit for every sample, from the
+        ``(N, out_size)`` important outputs; appends a unit trace to
+        every sample that reached the unit."""
+        module = node.module
+        batch_size = out_flags.shape[0]
+        in_size = module.input_feature_size
+        cumulative = spec.mechanism is Thresholding.CUMULATIVE
+        samples, out_positions = np.nonzero(out_flags)
+        in_flags = np.zeros(batch_size * in_size, dtype=bool)
+        scanned = np.zeros(batch_size, dtype=np.int64)
+        for block in module.partial_sum_rows(samples, out_positions):
+            rows = samples[block.members]
+            length = block.psums.shape[1]
+            scanned += np.bincount(rows, minlength=batch_size) * length
+            if cumulative:
+                chosen = _select_cumulative_batch(block.psums, spec.threshold)
             else:
-                chosen = _select_absolute(psums, spec.threshold)
-                unit_trace.n_compared += psums.size
-            if chosen.size:
-                collected.append(rf[chosen])
-        in_positions = (
-            np.unique(np.concatenate(collected))
-            if collected
-            else np.empty(0, dtype=np.int64)
-        )
-        unit_trace.n_important = int(in_positions.size)
-        return in_positions, unit_trace
+                chosen = block.psums > spec.threshold
+            row, col = np.nonzero(chosen)
+            starts = rows * in_size + block.input_base
+            in_flags[starts[row] + block.input_offsets[col]] = True
+        in_flags = in_flags.reshape(batch_size, in_size)
+        n_out = np.count_nonzero(out_flags, axis=1)
+        n_important = np.count_nonzero(in_flags, axis=1)
+        rf_size, mac_count = module.nominal_rf_size(), module.mac_count()
+        for i in np.flatnonzero(n_out):
+            unit_trace = UnitTrace(
+                name=node.name,
+                index=unit_idx,
+                extracted=True,
+                mechanism=spec.mechanism,
+                in_size=in_size,
+                out_size=module.output_feature_size,
+                rf_size=rf_size,
+                mac_count=mac_count,
+                n_out_processed=int(n_out[i]),
+                n_important=int(n_important[i]),
+            )
+            if cumulative:
+                unit_trace.n_psums_sorted = int(scanned[i])
+            else:
+                unit_trace.n_compared = int(scanned[i])
+            traces[i].units.append(unit_trace)
+        return in_flags
 
     # -- forward engine ----------------------------------------------------
     def _extract_forward(self) -> Tuple[List[Bitmask], ExtractionTrace]:

@@ -4,10 +4,13 @@ Two layer families matter to Ptolemy:
 
 * **Extraction units** (:class:`Linear`, :class:`Conv2d`) produce the
   partial sums that define important neurons.  They implement the
-  introspection protocol (``receptive_field`` / ``partial_sums``).
+  introspection protocol: ``receptive_field`` / ``partial_sums`` per
+  output neuron and ``partial_sum_rows`` for many (sample, neuron)
+  pairs at once.
 * **Transparent layers** (ReLU, pooling, batch-norm, flatten, merge)
   only re-index importance positions between units; they implement
-  ``propagate_back``.
+  ``propagate_back`` per sample and ``propagate_back_batch`` over an
+  ``(N, size)`` boolean importance matrix (``*_multi`` for merges).
 """
 
 from repro.nn.layers.linear import Linear

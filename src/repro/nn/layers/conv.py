@@ -1,18 +1,21 @@
 """2-D convolution with partial-sum introspection.
 
 The forward/backward passes use im2col so they are dense GEMMs; the
-Ptolemy introspection path recomputes the partial sums of a single
-output element on demand from the cached input, which is exactly the
-``csps`` recompute strategy the paper's compiler emits (Sec. IV-B).
+Ptolemy introspection path recomputes partial sums on demand from the
+cached input, which is exactly the ``csps`` recompute strategy the
+paper's compiler emits (Sec. IV-B).  Receptive-field addresses come
+from a table built once per input shape, the software twin of the
+precomputed addresses the paper's path constructor reads.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.layers.receptive import PartialSumBlock, row_blocks
 from repro.nn.module import Module, Parameter
 
 __all__ = ["Conv2d"]
@@ -53,6 +56,7 @@ class Conv2d(Module):
         self.padding = padding
         self._in_shape: Tuple[int, ...] | None = None
         self._out_hw: Tuple[int, int] | None = None
+        self._table: _ReceptiveFieldTable | None = None
 
     # -- execution ----------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -141,26 +145,21 @@ class Conv2d(Module):
         return c * h * w
 
     # -- Ptolemy introspection protocol ----------------------------------
-    def _decompose(self, out_pos: int) -> Tuple[int, int, int]:
-        c, h, w = self.output_feature_shape
-        if not 0 <= out_pos < c * h * w:
+    def _locate(self, out_pos: int) -> Tuple[int, int]:
+        """``(output channel, flat output spatial position)``."""
+        if not 0 <= out_pos < self.output_feature_size:
             raise IndexError(f"output position {out_pos} out of range")
-        c_out, rem = divmod(out_pos, h * w)
-        oy, ox = divmod(rem, w)
-        return c_out, oy, ox
+        out_h, out_w = self._out_hw
+        return divmod(out_pos, out_h * out_w)
 
-    def _patch_coords(self, oy: int, ox: int):
-        """In-bounds (channel, iy, ix, ky, kx) arrays of the receptive field."""
-        _, height, width = self.input_feature_shape
-        ky = np.arange(self.kernel_size)
-        kx = np.arange(self.kernel_size)
-        iy = oy * self.stride - self.padding + ky
-        ix = ox * self.stride - self.padding + kx
-        valid_y = (iy >= 0) & (iy < height)
-        valid_x = (ix >= 0) & (ix < width)
-        ky_grid, kx_grid = np.meshgrid(ky[valid_y], kx[valid_x], indexing="ij")
-        iy_grid, ix_grid = np.meshgrid(iy[valid_y], ix[valid_x], indexing="ij")
-        return ky_grid.ravel(), kx_grid.ravel(), iy_grid.ravel(), ix_grid.ravel()
+    def _rf_table(self) -> _ReceptiveFieldTable:
+        """The receptive-field table of the current input shape, built
+        on first use and rebuilt only when the input shape changes."""
+        shape = self.input_feature_shape
+        table = self._table
+        if table is None or table.in_shape != shape:
+            table = self._table = _ReceptiveFieldTable(self, shape)
+        return table
 
     def receptive_field(self, out_pos: int) -> np.ndarray:
         """Flat input positions (within C*H*W) feeding ``out_pos``.
@@ -168,22 +167,50 @@ class Conv2d(Module):
         Padding positions are excluded: they do not exist in the input
         feature map and contribute zero partial sums.
         """
-        _, oy, ox = self._decompose(out_pos)
-        _, height, width = self.input_feature_shape
-        ky, kx, iy, ix = self._patch_coords(oy, ox)
-        per_channel = iy * width + ix
-        offsets = np.arange(self.in_channels) * (height * width)
-        return (offsets[:, None] + per_channel[None, :]).ravel()
+        _, spatial = self._locate(out_pos)
+        table = self._rf_table()
+        return table.base[spatial] + table.input_offsets[table.group[spatial]]
 
     def partial_sums(self, out_pos: int, sample: int = 0) -> np.ndarray:
         """Partial sums ``w * x`` over the receptive field of ``out_pos``,
         aligned with :meth:`receptive_field`."""
+        c_out, spatial = self._locate(out_pos)
+        table = self._rf_table()
+        group = table.group[spatial]
+        weights = self.weight.data[c_out].ravel()[table.weight_offsets[group]]
+        inputs = self._cache["x"][sample].ravel()[
+            table.base[spatial] + table.input_offsets[group]
+        ]
+        return weights * inputs
+
+    def partial_sum_rows(
+        self, samples: np.ndarray, out_positions: np.ndarray
+    ) -> Iterator[PartialSumBlock]:
+        """:meth:`partial_sums` of every ``(samples[i], out_positions[i])``
+        pair, as one block per receptive-field shape (and per
+        :data:`~repro.nn.layers.receptive.BLOCK_ELEMENTS` chunk)."""
+        table = self._rf_table()
+        c_out, spatial = np.divmod(out_positions, table.base.size)
+        groups = table.group[spatial]
+        weights = self.weight.data.reshape(self.out_channels, -1)
         x = self._cache["x"]
-        c_out, oy, ox = self._decompose(out_pos)
-        ky, kx, iy, ix = self._patch_coords(oy, ox)
-        w_patch = self.weight.data[c_out][:, ky, kx]
-        x_patch = x[sample][:, iy, ix]
-        return (w_patch * x_patch).ravel()
+        inputs = x.reshape(-1)
+        in_size = x[0].size
+        for group in np.unique(groups):
+            offsets = table.input_offsets[group]
+            if not offsets.size:
+                continue  # window entirely in the padding: nothing to sort
+            group_weights = weights[:, table.weight_offsets[group]]
+            members = np.flatnonzero(groups == group)
+            for rows in row_blocks(members.size, offsets.size):
+                chunk = members[rows]
+                base = table.base[spatial[chunk]]
+                gathered = np.take(
+                    inputs, (samples[chunk] * in_size + base)[:, None] + offsets
+                )
+                yield PartialSumBlock(
+                    chunk, group_weights[c_out[chunk]] * gathered, base, offsets
+                )
 
     def nominal_rf_size(self) -> int:
         return self.in_channels * self.kernel_size * self.kernel_size
@@ -197,3 +224,49 @@ class Conv2d(Module):
             f"Conv2d({self.in_channels}, {self.out_channels}, "
             f"k={self.kernel_size}, s={self.stride}, p={self.padding})"
         )
+
+
+class _ReceptiveFieldTable:
+    """Receptive-field geometry of one conv over one input shape.
+
+    Output spatial positions fall into groups, one per distinct pattern
+    of in-bounds kernel offsets (at most 9 for a 3x3 kernel with
+    padding 1).  Per group the table holds the weight-index and the
+    relative input-offset vectors, channel-major, then ``ky``, then
+    ``kx``; per position, the group id and the flat input offset of the
+    window origin (negative where the window starts in the padding).
+    The receptive field of output position ``p`` is
+    ``base[p] + input_offsets[group[p]]``.
+    """
+
+    def __init__(self, conv: Conv2d, in_shape: Tuple[int, int, int]):
+        channels, height, width = in_shape
+        k = conv.kernel_size
+        taps = np.arange(k)
+
+        def axis(in_len: int):
+            out_len = conv_output_size(in_len, k, conv.stride, conv.padding)
+            origin = np.arange(out_len) * conv.stride - conv.padding
+            coords = origin[:, None] + taps
+            valid = (coords >= 0) & (coords < in_len)
+            patterns, ids = np.unique(valid, axis=0, return_inverse=True)
+            return origin, patterns, ids.ravel()
+
+        y_origin, y_patterns, y_ids = axis(height)
+        x_origin, x_patterns, x_ids = axis(width)
+        self.in_shape = in_shape
+        self.base = (y_origin[:, None] * width + x_origin).ravel()
+        self.group = (y_ids[:, None] * len(x_patterns) + x_ids).ravel()
+        channel = np.arange(channels)[:, None]
+        self.weight_offsets: List[np.ndarray] = []
+        self.input_offsets: List[np.ndarray] = []
+        for y_valid in y_patterns:
+            for x_valid in x_patterns:
+                ky, kx = np.meshgrid(taps[y_valid], taps[x_valid], indexing="ij")
+                ky, kx = ky.ravel(), kx.ravel()
+                self.weight_offsets.append(
+                    (channel * (k * k) + ky * k + kx).ravel()
+                )
+                self.input_offsets.append(
+                    (channel * (height * width) + ky * width + kx).ravel()
+                )

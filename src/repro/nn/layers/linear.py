@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Iterator
 
 import numpy as np
 
+from repro.nn.layers.receptive import PartialSumBlock, row_blocks
 from repro.nn.module import Module, Parameter
 
 __all__ = ["Linear"]
@@ -83,6 +85,23 @@ class Linear(Module):
         """Partial sums ``W[out_pos, i] * x_i`` for the cached sample."""
         x = self._cache["x"]
         return self.weight.data[out_pos] * x[sample]
+
+    def partial_sum_rows(
+        self, samples: np.ndarray, out_positions: np.ndarray
+    ) -> Iterator[PartialSumBlock]:
+        """:meth:`partial_sums` of every ``(samples[i], out_positions[i])``
+        pair; every output shares the whole input as receptive field."""
+        x = self._cache["x"]
+        offsets = np.arange(self.in_features)
+        pairs = np.arange(samples.size)
+        for rows in row_blocks(pairs.size, offsets.size):
+            chunk = pairs[rows]
+            yield PartialSumBlock(
+                chunk,
+                self.weight.data[out_positions[chunk]] * x[samples[chunk]],
+                np.zeros(chunk.size, dtype=np.int64),
+                offsets,
+            )
 
     def nominal_rf_size(self) -> int:
         """Receptive-field size used for hardware cost modelling."""

@@ -44,6 +44,11 @@ class Add(Module):
     ) -> List[np.ndarray]:
         return [positions.copy(), positions.copy()]
 
+    def propagate_back_multi_batch(self, flags: np.ndarray) -> List[np.ndarray]:
+        """Row-wise :meth:`propagate_back_multi` of an ``(N, size)``
+        importance matrix."""
+        return [flags, flags]
+
 
 class Concat(Module):
     """Concatenation along the channel axis of (N, C, H, W) inputs."""
@@ -82,3 +87,10 @@ class Concat(Module):
             out.append(positions[mask] - offset)
             offset += size
         return out
+
+    def propagate_back_multi_batch(self, flags: np.ndarray) -> List[np.ndarray]:
+        """Row-wise :meth:`propagate_back_multi` of an ``(N, size)``
+        importance matrix: a column split at the channel offsets."""
+        height, width = self._cache["spatial"]
+        bounds = np.cumsum(self._cache["channels"])[:-1] * (height * width)
+        return np.split(flags, bounds, axis=1)

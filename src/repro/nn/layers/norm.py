@@ -82,6 +82,9 @@ class _BatchNorm(Module):
         """Element-wise affine transform: positions pass through."""
         return positions
 
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        return flags
+
 
 class BatchNorm2d(_BatchNorm):
     """Per-channel normalisation of (N, C, H, W) inputs."""

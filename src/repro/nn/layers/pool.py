@@ -42,13 +42,18 @@ class _Pool2d(Module):
         self._out_hw = (out_h, out_w)
         return out_h, out_w
 
-    def _window_input_positions(self, c: int, oy: int, ox: int) -> np.ndarray:
-        """Flat input positions of the pooling window at output (c,oy,ox)."""
+    def _windows(self, positions: np.ndarray) -> np.ndarray:
+        """Flat input positions of each pooled position's window, one
+        row of ``k*k`` per position."""
         _, _, height, width = self._in_shape
-        iy = oy * self.stride + np.arange(self.kernel_size)
-        ix = ox * self.stride + np.arange(self.kernel_size)
-        iy_grid, ix_grid = np.meshgrid(iy, ix, indexing="ij")
-        return c * height * width + (iy_grid * width + ix_grid).ravel()
+        c, oy, ox = self._decompose(positions)
+        ky, kx = np.divmod(np.arange(self.kernel_size**2), self.kernel_size)
+        origin = c * height * width + oy * self.stride * width + ox * self.stride
+        return origin[:, None] + ky * width + kx
+
+    def _input_size(self) -> int:
+        _, channels, height, width = self._in_shape
+        return channels * height * width
 
     def _decompose(self, positions: np.ndarray):
         out_h, out_w = self._out_hw
@@ -92,11 +97,24 @@ class MaxPool2d(_Pool2d):
         """Map pooled positions to the argmax element of each window."""
         if positions.size == 0:
             return positions
+        return self._argmax_inputs(positions, sample)
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        """:meth:`propagate_back` of every row of an ``(N, out)``
+        importance matrix at once."""
+        rows, positions = np.nonzero(flags)
+        out = np.zeros((flags.shape[0], self._input_size()), dtype=bool)
+        out[rows, self._argmax_inputs(positions, rows)] = True
+        return out
+
+    def _argmax_inputs(self, positions: np.ndarray, samples) -> np.ndarray:
+        """Flat input position of the argmax of each pooled position's
+        window in sample ``samples`` (a scalar or one per position)."""
         argmax = self._cache["argmax"]
-        batch, channels, height, width = self._cache["x_shape"]
-        out_h, out_w = self._out_hw
+        _, channels, height, width = self._cache["x_shape"]
+        out_w = self._out_hw[1]
         c, oy, ox = self._decompose(positions)
-        window_idx = argmax[sample * channels + c, oy * out_w + ox]
+        window_idx = argmax[samples * channels + c, oy * out_w + ox]
         ky, kx = np.divmod(window_idx, self.kernel_size)
         iy = oy * self.stride + ky
         ix = ox * self.stride + kx
@@ -137,12 +155,15 @@ class AvgPool2d(_Pool2d):
         """Every element of the window contributed; expand to all of them."""
         if positions.size == 0:
             return positions
-        c, oy, ox = self._decompose(positions)
-        expanded = [
-            self._window_input_positions(int(ci), int(yi), int(xi))
-            for ci, yi, xi in zip(c, oy, ox)
-        ]
-        return np.unique(np.concatenate(expanded))
+        return np.unique(self._windows(positions))
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        """:meth:`propagate_back` of every row of an ``(N, out)``
+        importance matrix at once."""
+        rows, positions = np.nonzero(flags)
+        out = np.zeros((flags.shape[0], self._input_size()), dtype=bool)
+        out[rows[:, None], self._windows(positions)] = True
+        return out
 
 
 class GlobalAvgPool2d(Module):
@@ -168,3 +189,9 @@ class GlobalAvgPool2d(Module):
         return np.unique(
             (positions[:, None] * spatial + offsets[None, :]).ravel()
         )
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        """:meth:`propagate_back` of every row of an ``(N, C)``
+        importance matrix at once."""
+        _, _, height, width = self._cache["x_shape"]
+        return np.repeat(flags, height * width, axis=1)

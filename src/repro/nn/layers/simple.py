@@ -24,6 +24,9 @@ class ReLU(Module):
         """Importance positions are unchanged by an element-wise op."""
         return positions
 
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        return flags
+
 
 class Identity(Module):
     """No-op layer; useful as a placeholder shortcut in residual blocks."""
@@ -36,6 +39,9 @@ class Identity(Module):
 
     def propagate_back(self, positions: np.ndarray, sample: int = 0) -> np.ndarray:
         return positions
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        return flags
 
 
 class Flatten(Module):
@@ -54,6 +60,9 @@ class Flatten(Module):
 
     def propagate_back(self, positions: np.ndarray, sample: int = 0) -> np.ndarray:
         return positions
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        return flags
 
 
 class Dropout(Module):
@@ -81,3 +90,6 @@ class Dropout(Module):
 
     def propagate_back(self, positions: np.ndarray, sample: int = 0) -> np.ndarray:
         return positions
+
+    def propagate_back_batch(self, flags: np.ndarray) -> np.ndarray:
+        return flags

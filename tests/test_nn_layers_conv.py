@@ -129,3 +129,28 @@ class TestIntrospection:
         conv.forward(rng.normal(size=(1, 2, 5, 5)))
         assert conv.mac_count() == 3 * 25 * 18
         assert conv.nominal_rf_size() == 18
+
+
+
+def test_receptive_field_follows_input_shape(conv, rng):
+    """The receptive-field table is rebuilt when the input shape changes:
+    each shape gets its own in-bounds window, channel-major, then ky,
+    then kx, and its partial sums still rebuild the output."""
+
+    def expected(pos, size):
+        oy, ox = divmod(pos % (size * size), size)
+        return [
+            c * size * size + iy * size + ix
+            for c in range(2)
+            for iy in range(oy - 1, oy + 2)
+            for ix in range(ox - 1, ox + 2)
+            if 0 <= iy < size and 0 <= ix < size
+        ]
+
+    for size in (8, 16, 8):
+        out = conv.forward(rng.normal(size=(1, 2, size, size)))[0].ravel()
+        plane = size * size
+        for pos in (0, size - 1, size + 1, plane - 1, 2 * plane + 3 * size + 4):
+            assert conv.receptive_field(pos).tolist() == expected(pos, size)
+            total = conv.partial_sums(pos).sum() + conv.bias.data[pos // plane]
+            assert total == pytest.approx(out[pos])
